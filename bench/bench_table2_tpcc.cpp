@@ -8,7 +8,8 @@
 // every Payment on the warehouse row: the abort-and-retry loops of the
 // classical protocols burn throughput exactly where the queue-oriented
 // engine's conflict queues keep executing. MVTO stands in for the
-// multi-version baselines (Cicada/ERMIA/FOEDUS) per DESIGN.md 2.5.
+// multi-version baselines (Cicada/ERMIA/FOEDUS), which are not ported (see
+// protocols/mvto.hpp).
 #include <algorithm>
 #include <cstdio>
 

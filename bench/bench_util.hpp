@@ -1,7 +1,7 @@
 // Shared helpers for the experiment benches.
 //
-// Every bench binary reproduces one row/figure from the paper (see the
-// experiment index in DESIGN.md) by running engines over identical
+// Every bench binary reproduces one row/figure from the paper (named in
+// each bench's header comment) by running engines over identical
 // transaction streams and printing a paper-style result table. Set
 // QUECC_BENCH_QUICK=1 to shrink workloads for smoke runs.
 #pragma once

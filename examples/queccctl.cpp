@@ -52,7 +52,7 @@
 // that fraction of YCSB transactions YCSB-E style range scans (implies
 // an ordered usertable).
 //
-// Durability (quecc engine only): --durable --log-dir DIR command-logs
+// Durability: --durable --log-dir DIR command-logs
 // every planned batch and fsyncs a commit record per batch (group commit,
 // --group-commit-us window); --checkpoint-every N snapshots the database
 // every N batches and truncates the log. After a crash (SIGKILL included),

@@ -91,9 +91,9 @@ struct config {
 
   // --- durability (queue-oriented command log, src/log/) ------------------
   /// Log planned batches + commit records to `log_dir` and acknowledge
-  /// clients only after the commit record is fsynced. Only the
-  /// queue-oriented engine ("quecc") implements this; other engines ignore
-  /// it. Requires a non-empty log_dir.
+  /// clients only after the commit record is fsynced. Both queue-oriented
+  /// engines implement this; the baselines ignore it. Requires a non-empty
+  /// log_dir.
   bool durable = false;
   std::string log_dir;
   /// Group-commit window: fsyncs are coalesced so every record appended

@@ -2,9 +2,9 @@
 // annotations, checked by tools/quecc-analyze.
 //
 // QueCC's correctness story — command-log recovery (src/log/), bit-identical
-// pipeline depths (core/engine), and planned-batch replication — rests on
-// one contract: *execution is a deterministic function of the planned
-// batch*. These macros make the contract a static property instead of a
+// pipeline depths (core/stage_driver), and planned-batch replication —
+// rests on one contract: *execution is a deterministic function of the
+// planned batch*. These macros make the contract a static property instead of a
 // probabilistic end-to-end one:
 //
 //   PLAN_PHASE / EXEC_PHASE / EPILOGUE_PHASE

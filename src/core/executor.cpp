@@ -42,8 +42,10 @@ void executor::process(const frag_entry& e) {
 
   // Data dependencies: wait for producer fragments (other executors) to
   // publish the slots this fragment consumes. Deadlock-free because
-  // producers sort strictly earlier in the global replay order
-  // (DESIGN.md 2.2) — unless the txn aborts, which breaks the wait.
+  // producers sort strictly earlier in the global replay order (inputs
+  // come from smaller fragment idx, txn::validate_plan; planners keep
+  // replay order, planner.hpp) — unless the txn aborts, which breaks the
+  // wait.
   if (f.input_mask != 0) {
     common::backoff bo;
     while (!t.inputs_ready(f.input_mask)) {

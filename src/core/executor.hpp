@@ -71,9 +71,10 @@ class executor final : public txn::frag_host {
   EXEC_PHASE void skip(const frag_entry& e);
   EXEC_PHASE void finish(txn::txn_desc& t);
 
-  /// Resolve a fragment's row id, falling back to an execution-time index
-  /// lookup for records created earlier in this batch (FIFO on the home
-  /// partition's queue makes the insert visible by now).
+  /// Resolve a fragment's row id: the rid resolve_read_queues set for RC
+  /// read-queue fragments, else an execution-time index lookup (FIFO on
+  /// the home partition's queue makes earlier same-key inserts and erases
+  /// of this batch visible by now).
   storage::row_id_t resolve(const txn::fragment& f) const noexcept;
 
   void log_undo_update(const txn::fragment& f, txn::txn_desc& t,

@@ -20,8 +20,8 @@
 namespace quecc::core {
 
 /// One planned unit of work: a fragment plus its owning transaction. The
-/// fragment pointer is non-const because under pipelining the engine
-/// resolves read-queue rids at the pre-execution quiescent point (see
+/// fragment pointer is non-const because the stage driver resolves
+/// read-queue rids at the pre-execution quiescent point (see
 /// batch_slot::resolve_read_queues); executors treat fragments as const.
 ///
 /// `part` is the entry's *effective* partition. It equals f->part except

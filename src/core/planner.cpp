@@ -91,26 +91,16 @@ void planner::plan(txn::batch& b, plan_output& out) {
   const std::size_t begin = std::min<std::size_t>(id_ * chunk, b.size());
   const std::size_t end = std::min(begin + chunk, b.size());
   const bool rc = cfg_.iso == common::isolation::read_committed;
-  // Planning-time index resolution is a lockstep-only optimization: at
-  // pipeline_depth 1 planning sits at the inter-batch quiescent point, so
-  // lookups are race-free and match what execution-time resolution would
-  // produce. At depth >= 2 planning overlaps the previous batch's
-  // execution — which mutates the primary index through inserts/erases —
-  // so resolution defers to the executors' resolve() fallback. Execution
-  // is serialized across batches, so the deferred lookups return exactly
-  // the rids a lockstep run would have planned, and the planning stage
-  // touches no shared mutable state at all.
-  const bool resolve_index = cfg_.pipeline_depth <= 1;
+  // Planning never resolves the primary index: it may overlap the previous
+  // batch's execution, which mutates the index through inserts/erases, so
+  // rids resolve at execution time (executor::resolve, and
+  // batch_slot::resolve_read_queues for RC read queues). Execution is
+  // serialized across batches, so those lookups return the same rids at
+  // every pipeline depth, and planning touches no shared mutable state.
   for (std::size_t i = begin; i < end; ++i) {
     txn::txn_desc& t = b.at(i);
     const std::uint64_t writer_needed = rc ? writer_needed_slots(t) : 0;
     for (auto& f : t.frags) {
-      // Resolve the primary index here, in the planning phase. Fragments
-      // whose record is created inside this batch stay unresolved and are
-      // re-looked-up by the executor after the creating insert (same home
-      // partition => same queue => FIFO guarantees visibility). The lookup
-      // routes to the key's home arena and takes no index lock — planning
-      // sits at the inter-batch quiescent point here (depth 1).
       // Cross-partition scans fan out into one conflict-queue entry per
       // partition (the fragment's partition is the kAllParts sentinel; the
       // entry carries the effective one). The txn's fragment count and the
@@ -127,10 +117,6 @@ void planner::plan(txn::batch& b, plan_output& out) {
           ++out.planned_frags;
         }
         continue;
-      }
-      if (resolve_index && f.kind != txn::op_kind::insert &&
-          f.kind != txn::op_kind::scan) {
-        f.rid = db_.at(f.table).lookup_local(f.key, f.part);
       }
       const auto e = route(f, f.part);
       if (goes_to_read_queue(f, writer_needed)) {

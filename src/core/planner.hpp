@@ -8,10 +8,10 @@
 // global replay order (planner, seq, frag idx) is consistent with sequence
 // order — the serial-equivalent order of the batch.
 //
-// Planning also performs the primary-index lookups (resolving fragment ->
-// row id) so the execution phase touches indexes only for inserts/erases;
-// this is the paradigm's "planning does the work that needs coordination"
-// principle.
+// Planning reads only the batch and the catalog (each table's index kind,
+// for routing). Primary-index lookups (fragment -> row id) happen at
+// execution time: planning of batch i+1 may overlap batch i's execution,
+// which mutates the indexes.
 #pragma once
 
 #include <vector>

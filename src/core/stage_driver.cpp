@@ -1,4 +1,4 @@
-#include "core/engine.hpp"
+#include "core/stage_driver.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -13,6 +13,30 @@
 
 namespace quecc::core {
 
+namespace {
+
+/// Bind every table's arenas to the NUMA nodes the placement plan assigns
+/// (plan.node_of_arena — the socket of the executor owning the arena's
+/// partition) and publish the result as storage.arena_node.<s> gauges.
+/// Best-effort: single-node machines record node 0 and move nothing. Call
+/// before workers start (the binding migrates loader-touched pages).
+void bind_arena_memory(storage::database& db,
+                       const common::placement_plan& plan) {
+  for (table_id_t t = 0; t < db.table_count(); ++t) {
+    storage::table& tb = db.at(t);
+    for (part_id_t s = 0; s < tb.shard_count(); ++s) {
+      tb.bind_shard_to_node(s, plan.node_of_arena(s));
+      // One gauge per arena index (shared across tables — they stripe
+      // identically), capped well below the registry's gauge budget.
+      if (t == 0 && s < 32) {
+        const obs::gauge g("storage.arena_node." + std::to_string(s));
+        g.set(tb.shard_numa_node(s));
+      }
+    }
+  }
+}
+
+}  // namespace
 
 void pipeline::build(const common::config& cfg, storage::database& db,
                      storage::dual_version_store* committed) {
@@ -30,7 +54,7 @@ void pipeline::build(const common::config& cfg, storage::database& db,
   }
 
   // One slot per pipeline stage-in-flight. Pre-size every queue container
-  // so addresses are stable for the engine lifetime; executors read
+  // so addresses are stable for the driver lifetime; executors read
   // through the raw pointers wired up here.
   slots.reserve(cfg.pipeline_depth);
   for (std::uint32_t s = 0; s < cfg.pipeline_depth; ++s) {
@@ -67,8 +91,9 @@ void batch_slot::resolve_read_queues(storage::database& db) {
   }
 }
 
-quecc_engine::quecc_engine(storage::database& db, const common::config& cfg)
-    : db_(db), cfg_(cfg), spec_(db) {
+stage_driver::stage_driver(storage::database& db, const common::config& cfg,
+                           const char* thread_tag, stage_hooks* hooks)
+    : db_(db), cfg_(cfg), thread_tag_(thread_tag), hooks_(hooks), spec_(db) {
   cfg_.validate();
   use_async_epilogue_ = cfg_.async_epilogue && cfg_.pipeline_depth >= 2;
   if (cfg_.iso == common::isolation::read_committed) {
@@ -107,7 +132,7 @@ quecc_engine::quecc_engine(storage::database& db, const common::config& cfg)
   }
 }
 
-quecc_engine::~quecc_engine() {
+stage_driver::~stage_driver() {
   // Retire anything the caller left in flight (the submit contract says
   // batches and metrics outlive their drain, so the pointers are valid).
   while (drain_batch()) {
@@ -120,8 +145,8 @@ quecc_engine::~quecc_engine() {
   for (auto& t : threads_) t.join();
 }
 
-void quecc_engine::planner_main(worker_id_t p) {
-  common::name_self("quecc-plan-" + std::to_string(p));
+void stage_driver::planner_main(worker_id_t p) {
+  common::name_self(std::string(thread_tag_) + "-plan-" + std::to_string(p));
   if (cfg_.pin_threads) common::pin_self_to(plan_.planner_cpu[p]);
   for (std::uint64_t n = 0;; ++n) {
     {
@@ -144,6 +169,9 @@ void quecc_engine::planner_main(worker_id_t p) {
     // the plan_pending acq_rel countdown below.
     s.plan_busy_nanos.fetch_add(t1 - t0, std::memory_order_relaxed);
     if (s.plan_pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      // The last planner runs the after-plan hook before marking the batch
+      // ready, so no executor starts ahead of what the hook delivers.
+      if (hooks_ != nullptr) hooks_->after_plan(*s.batch);
       common::mutex_lock lk(mu_);
       s.ready_nanos = common::now_nanos();
       ready_ = n + 1;  // planners retire batches in order (see above)
@@ -152,8 +180,8 @@ void quecc_engine::planner_main(worker_id_t p) {
   }
 }
 
-void quecc_engine::executor_main(worker_id_t e) {
-  common::name_self("quecc-exec-" + std::to_string(e));
+void stage_driver::executor_main(worker_id_t e) {
+  common::name_self(std::string(thread_tag_) + "-exec-" + std::to_string(e));
   if (cfg_.pin_threads) {
     common::pin_self_to(plan_.executor_cpu[e]);
   }
@@ -166,8 +194,8 @@ void quecc_engine::executor_main(worker_id_t e) {
       // batch n-1's state-mutating epilogue half (published_ == n) — the
       // per-slot inter-batch quiescent point that read-committed
       // publishing, speculation recovery, and checkpoints rely on. Only
-      // the previous batch's durable tail (fsync wait) may still be in
-      // flight on the epilogue worker.
+      // the previous batch's durable tail (fsync wait) and post-publish
+      // hook may still be in flight on the epilogue worker.
       while (!((ready_ > n && published_ == n) || stop_)) cv_.wait(lk);
       if (stop_ && !(ready_ > n && published_ == n)) return;
       sp = pipe_.slots[n % cfg_.pipeline_depth].get();
@@ -177,8 +205,8 @@ void quecc_engine::executor_main(worker_id_t e) {
         // else touching the database): resolve the RC read-queue rids at
         // the quiescent point — they are claimed by any executor, so
         // execution-time lookups would race with this batch's own
-        // inserts/erases. At depth 1 the planners already resolved them.
-        if (cfg_.pipeline_depth > 1) sp->resolve_read_queues(db_);
+        // inserts/erases.
+        sp->resolve_read_queues(db_);
       }
     }
     batch_slot& s = *sp;
@@ -205,7 +233,7 @@ void quecc_engine::executor_main(worker_id_t e) {
   }
 }
 
-void quecc_engine::submit_batch(txn::batch& b, common::run_metrics& m) {
+void stage_driver::submit_batch(txn::batch& b, common::run_metrics& m) {
   // Ring full: the caller fell behind; retire the oldest batch on its
   // behalf (same thread — equivalent to the caller invoking drain_batch).
   while (true) {
@@ -215,9 +243,11 @@ void quecc_engine::submit_batch(txn::batch& b, common::run_metrics& m) {
     }
     drain_batch();
   }
+  batch_slot* sp;
   {
     common::mutex_lock lk(mu_);
-    batch_slot& s = *pipe_.slots[submitted_ % cfg_.pipeline_depth];
+    sp = pipe_.slots[submitted_ % cfg_.pipeline_depth].get();
+    batch_slot& s = *sp;
     s.batch = &b;
     s.metrics = &m;
     s.submit_nanos = common::now_nanos();
@@ -235,12 +265,14 @@ void quecc_engine::submit_batch(txn::batch& b, common::run_metrics& m) {
   // Batch (command) record at plan time: the serialized plan is the whole
   // redo log — execution is a deterministic function of it. Encoding and
   // appending overlap the planning the workers just started (the codec
-  // reads no field planners write).
-  if (wal_) log_batch_record(b);
+  // reads no field planners write). A small batch can therefore retire —
+  // commit record appended — before this append lands, which is why
+  // sync_durable() waits for the batch record too.
+  if (wal_) sp->batch_lsn = log_batch_record(b);
 }
 
-void quecc_engine::epilogue_main() {
-  common::name_self("quecc-epilogue");
+void stage_driver::epilogue_main() {
+  common::name_self(std::string(thread_tag_) + "-epilogue");
   if (cfg_.pin_threads) common::pin_self_to(plan_.epilogue_cpu);
   for (std::uint64_t n = 0;; ++n) {
     {
@@ -252,7 +284,7 @@ void quecc_engine::epilogue_main() {
   }
 }
 
-void quecc_engine::run_epilogue(std::uint64_t n) {
+void stage_driver::run_epilogue(std::uint64_t n) {
   batch_slot& s = *pipe_.slots[n % cfg_.pipeline_depth];
   txn::batch& b = *s.batch;
   common::run_metrics& m = *s.metrics;
@@ -260,11 +292,11 @@ void quecc_engine::run_epilogue(std::uint64_t n) {
   // State-mutating half at the quiescent point: executors for batch n+1
   // wait on published_, so the executor logs read here are still batch
   // n's and nothing observes the database mid-recovery. Planners may
-  // concurrently plan batches n+1.. — at depth >= 2 planning touches no
-  // shared mutable state (see planner.cpp).
+  // concurrently plan batches n+1.. — planning touches no shared mutable
+  // state (see planner.cpp).
   const std::uint64_t epi0 = common::now_nanos();
-  last_rec_ =
-      batch_epilogue(db_, cfg_, b, pipe_.executors, spec_, committed_.get(), m);
+  if (hooks_ != nullptr) hooks_->pre_publish(b);
+  last_rec_ = batch_epilogue(b, m);
   // Commit record after the commit epilogue (statuses are final, and with
   // log_verify_hash it snapshots the post-recovery state hash); the
   // group-commit flusher picks it up. Epilogue order == submission order,
@@ -280,14 +312,16 @@ void quecc_engine::run_epilogue(std::uint64_t n) {
     cv_.notify_all();
   }
 
-  // Durable tail, overlapped with batch n+1's execution (async mode; the
-  // inline epilogue keeps the legacy contract where sync_durable() or the
-  // flusher timer absorbs the fsync).
+  // Post-publish hook and durable tail, overlapped with batch n+1's
+  // execution (async mode; the inline epilogue keeps the contract where
+  // sync_durable() or the flusher timer absorbs the fsync).
+  if (hooks_ != nullptr) hooks_->post_publish(b, m);
   if (wal_ && use_async_epilogue_) {
     const std::uint64_t f0 = common::now_nanos();
     wal_->wait_durable(commit_lsn);
     obs::record_span(obs::trace_stage::fsync, f0, common::now_nanos() - f0,
-                     b.id(), static_cast<std::uint32_t>(n % cfg_.pipeline_depth));
+                     b.id(),
+                     static_cast<std::uint32_t>(n % cfg_.pipeline_depth));
   }
   const std::uint64_t epi1 = common::now_nanos();
   static const obs::histogram epi_hist("engine.epilogue_nanos");
@@ -338,7 +372,7 @@ void quecc_engine::run_epilogue(std::uint64_t n) {
   // Elapsed time without double counting across overlapping batches:
   // charge each retirement the wall time since the previous one, clipped
   // to this batch's own submission (so idle gaps between lockstep
-  // run_batch calls are not charged — depth 1 matches the old stopwatch
+  // run_batch calls are not charged — depth 1 matches a plain stopwatch
   // exactly).
   const std::uint64_t drain_nanos = common::now_nanos();
   const std::uint64_t from = std::max(s.submit_nanos, last_drain_nanos_);
@@ -353,7 +387,7 @@ void quecc_engine::run_epilogue(std::uint64_t n) {
   }
 }
 
-bool quecc_engine::drain_batch() {
+bool stage_driver::drain_batch() {
   std::uint64_t n;
   batch_slot* sp;
   {
@@ -369,6 +403,7 @@ bool quecc_engine::drain_batch() {
     sp = pipe_.slots[n % cfg_.pipeline_depth].get();
   }
   if (!use_async_epilogue_) run_epilogue(n);
+  drained_batch_lsn_ = sp->batch_lsn;
 
   {
     common::mutex_lock lk(mu_);
@@ -380,25 +415,23 @@ bool quecc_engine::drain_batch() {
   return true;
 }
 
-void quecc_engine::run_batch(txn::batch& b, common::run_metrics& m) {
+void stage_driver::run_batch(txn::batch& b, common::run_metrics& m) {
   submit_batch(b, m);
   while (drain_batch()) {
   }
 }
 
-recovery_stats batch_epilogue(
-    storage::database& db, const common::config& cfg, txn::batch& b,
-    std::span<const std::unique_ptr<executor>> executors, spec_manager& spec,
-    storage::dual_version_store* committed, common::run_metrics& m) {
+recovery_stats stage_driver::batch_epilogue(txn::batch& b,
+                                            common::run_metrics& m) {
   // Speculative recovery: resolve speculation dependencies (cascading
   // aborts + deterministic re-execution). Conservative execution cannot
   // expose dirty data, so aborted transactions already left no effects.
   recovery_stats rec{};
-  if (cfg.execution == common::exec_model::speculative) {
+  if (cfg_.execution == common::exec_model::speculative) {
     std::vector<exec_logs*> logs;
-    logs.reserve(executors.size());
-    for (auto& ex : executors) logs.push_back(&ex->logs());
-    rec = spec.recover(b, logs);
+    logs.reserve(pipe_.executors.size());
+    for (auto& ex : pipe_.executors) logs.push_back(&ex->logs());
+    rec = spec_.recover(b, logs);
     m.cc_aborts += rec.cascades;
     static const obs::counter recoveries("spec.recoveries_total");
     static const obs::counter cascades("spec.cascade_aborts_total");
@@ -421,38 +454,39 @@ recovery_stats batch_epilogue(
 
   // Read-committed: publish this batch's dirty rows into the committed
   // image so the next batch's read queues observe them.
-  if (committed != nullptr) {
+  if (committed_) {
     // Dedup per table: rids use their high bits for the shard (see
     // table.hpp), so packing (table, rid) into one word would collide.
-    std::vector<std::unordered_set<storage::row_id_t>> seen(db.table_count());
+    std::vector<std::unordered_set<storage::row_id_t>> seen(db_.table_count());
     auto publish = [&](table_id_t table, storage::row_id_t rid) {
-      if (seen[table].insert(rid).second) committed->publish(db, table, rid);
+      if (seen[table].insert(rid).second) committed_->publish(db_, table, rid);
     };
-    for (auto& ex : executors) {
+    for (auto& ex : pipe_.executors) {
       for (const auto& u : ex->logs().undo) {
         if (u.op != txn::op_kind::erase) publish(u.table, u.rid);
       }
     }
-    for (const auto& [table, rid] : spec.extra_dirty()) publish(table, rid);
+    for (const auto& [table, rid] : spec_.extra_dirty()) publish(table, rid);
   }
 
-  for (auto& ex : executors) {
+  for (auto& ex : pipe_.executors) {
     m.txn_latency.merge(ex->latency());
     ex->latency().reset();
   }
   return rec;
 }
 
-void quecc_engine::log_batch_record(const txn::batch& b) {
+std::uint64_t stage_driver::log_batch_record(const txn::batch& b) {
   const std::uint64_t t0 = common::now_nanos();
   std::vector<std::byte> payload;
   log::encode_batch(b, payload);
-  wal_->append(log::record_type::batch, payload);
+  const std::uint64_t lsn = wal_->append(log::record_type::batch, payload);
   obs::record_span(obs::trace_stage::log_append, t0,
                    common::now_nanos() - t0, b.id());
+  return lsn;
 }
 
-std::uint64_t quecc_engine::log_commit_record(const txn::batch& b) {
+std::uint64_t stage_driver::log_commit_record(const txn::batch& b) {
   log::commit_info c;
   c.batch_id = b.id();
   c.txn_count = static_cast<std::uint32_t>(b.size());
@@ -474,10 +508,10 @@ std::uint64_t quecc_engine::log_commit_record(const txn::batch& b) {
 
   // Batch-boundary checkpoint: we sit at the inter-batch quiescent point
   // (executors for the next batch are parked on published_; planners touch
-  // no database state at depth >= 2), so the snapshot is
-  // transaction-consistent by construction. The new checkpoint covers
-  // every logged batch; rotate and drop the old segments (checkpoint file
-  // + manifest land before any deletion).
+  // no database state), so the snapshot is transaction-consistent by
+  // construction. The new checkpoint covers every logged batch; rotate and
+  // drop the old segments (checkpoint file + manifest land before any
+  // deletion).
   if (cfg_.checkpoint_interval_batches > 0 &&
       ++batches_since_ckpt_ >= cfg_.checkpoint_interval_batches) {
     batches_since_ckpt_ = 0;
@@ -487,12 +521,12 @@ std::uint64_t quecc_engine::log_commit_record(const txn::batch& b) {
     // submit time — into the segments just truncated. Re-append them so
     // recovery can replay past this checkpoint (their commit records land
     // later, in retirement order). Batch contents are frozen (planners
-    // never write them at depth >= 2). In async mode the submit thread may
-    // append the same batch record concurrently — log_writer::append
-    // serializes the frames internally and replay is last-record-wins per
-    // batch id, so the duplicate is benign in every interleaving (an
-    // append that landed in a truncated segment is re-covered here; one
-    // landing after the rotation sits in the fresh segment on its own).
+    // never write them). In async mode the submit thread may append the
+    // same batch record concurrently — log_writer::append serializes the
+    // frames internally and replay is last-record-wins per batch id, so
+    // the duplicate is benign in every interleaving (an append that landed
+    // in a truncated segment is re-covered here; one landing after the
+    // rotation sits in the fresh segment on its own).
     std::uint64_t first_inflight, end_inflight;
     {
       common::mutex_lock lk(mu_);
@@ -501,37 +535,21 @@ std::uint64_t quecc_engine::log_commit_record(const txn::batch& b) {
     }
     for (std::uint64_t k = first_inflight; k < end_inflight; ++k) {
       // quecc-ok(phase): epilogue re-appends at the quiescent point;
-      // batch contents are frozen (planners never write them at depth >= 2)
+      // batch contents are frozen (planners never write them)
       log_batch_record(*pipe_.slots[k % cfg_.pipeline_depth]->batch);
     }
   }
   return lsn;
 }
 
-void quecc_engine::sync_durable() {
+void stage_driver::sync_durable() {
   if (!wal_) return;
   std::uint64_t lsn;
   {
     common::mutex_lock lk(mu_);
     lsn = last_commit_lsn_;
   }
-  wal_->wait_durable(lsn);
-}
-
-void bind_arena_memory(storage::database& db,
-                       const common::placement_plan& plan) {
-  for (table_id_t t = 0; t < db.table_count(); ++t) {
-    storage::table& tb = db.at(t);
-    for (part_id_t s = 0; s < tb.shard_count(); ++s) {
-      tb.bind_shard_to_node(s, plan.node_of_arena(s));
-      // One gauge per arena index (shared across tables — they stripe
-      // identically), capped well below the registry's gauge budget.
-      if (t == 0 && s < 32) {
-        const obs::gauge g("storage.arena_node." + std::to_string(s));
-        g.set(tb.shard_numa_node(s));
-      }
-    }
-  }
+  wal_->wait_durable(std::max(lsn, drained_batch_lsn_));
 }
 
 }  // namespace quecc::core

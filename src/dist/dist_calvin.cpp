@@ -95,8 +95,9 @@ void dist_calvin_engine::sequence(txn::batch& b) {
   while (net_.poll(0, stale)) {
   }
   // Epoch replication: the sequencer (node 0) ships the ordered batch
-  // input to every scheduler; payloads stay in shared memory (DESIGN.md
-  // 2.5), the broadcast pays the message count and one one-way latency.
+  // input to every scheduler; payloads stay in shared memory (see
+  // net/message.hpp), the broadcast pays the message count and one one-way
+  // latency.
   net_.broadcast({0, 0, net::msg_type::seq_slice, b.id(), 0, {}});
   for (net::node_id_t n = 1; n < pl_.nodes; ++n) {
     common::backoff bo;

@@ -14,10 +14,11 @@
 // DistBehaviour.QueccCommitCostIsPerBatchNotPerTxn test contrasts with
 // dist-quecc's constant per-batch bill.
 //
-// Simulation notes (DESIGN.md 2.5): nodes share one process and one
-// storage engine, so a single worker executes the whole transaction after
-// the remote-read stall, and the N per-node schedulers — which would each
-// walk the identical replicated sequence — are folded into one pass in
+// Simulation notes (the in-process cluster of net/message.hpp): nodes
+// share one process and one storage engine, so a single worker executes
+// the whole transaction after the remote-read stall, and the N per-node
+// schedulers — which would each walk the identical replicated sequence —
+// are folded into one pass in
 // sequence order over per-node lock tables; both foldings preserve the
 // protocol's determinism and its message/latency bill.
 #pragma once

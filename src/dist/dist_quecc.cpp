@@ -1,12 +1,6 @@
 #include "dist/dist_quecc.hpp"
 
-#include <algorithm>
-#include <chrono>
-
 #include "common/spinlock.hpp"
-#include "common/thread_util.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace quecc::dist {
 
@@ -28,131 +22,10 @@ common::config globalize(const common::config& cfg) {
 
 dist_quecc_engine::dist_quecc_engine(storage::database& db,
                                      const common::config& cfg)
-    : db_(db),
-      cfg_(globalize(cfg)),
-      pl_{cfg.nodes, cfg.executor_threads, cfg.planner_threads},
+    : pl_{cfg.nodes, cfg.executor_threads, cfg.planner_threads},
       net_(cfg.nodes, cfg.net_latency_micros),
-      spec_(db) {
-  cfg_.validate();
-  use_async_epilogue_ = cfg_.async_epilogue && cfg_.pipeline_depth >= 2;
-  if (cfg_.iso == common::isolation::read_committed) {
-    committed_ = std::make_unique<storage::dual_version_store>(db_);
-  }
-  pipe_.build(cfg_, db_, committed_.get());
-
-  if (cfg_.pin_threads || cfg_.numa_bind) {
-    plan_ = common::compute_placement(
-        common::system_topology(),
-        {cfg_.planner_threads, cfg_.executor_threads, cfg_.pin_mode});
-  }
-  if (cfg_.numa_bind) core::bind_arena_memory(db_, plan_);
-
-  const worker_id_t planners = cfg_.planner_threads;
-  const worker_id_t execs = cfg_.executor_threads;
-  threads_.reserve(static_cast<std::size_t>(planners) + execs + 1);
-  for (worker_id_t p = 0; p < planners; ++p) {
-    threads_.emplace_back([this, p] { planner_main(p); });
-  }
-  for (worker_id_t e = 0; e < execs; ++e) {
-    threads_.emplace_back([this, e] { executor_main(e); });
-  }
-  if (use_async_epilogue_) {
-    threads_.emplace_back([this] { epilogue_main(); });
-  }
-}
-
-dist_quecc_engine::~dist_quecc_engine() {
-  while (drain_batch()) {
-  }
-  {
-    common::mutex_lock lk(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-void dist_quecc_engine::planner_main(worker_id_t p) {
-  common::name_self("dq-n" + std::to_string(pl_.node_of_planner(p)) +
-                    "-plan-" + std::to_string(p));
-  if (cfg_.pin_threads) common::pin_self_to(plan_.planner_cpu[p]);
-  for (std::uint64_t n = 0;; ++n) {
-    {
-      common::mutex_lock lk(mu_);
-      while (!(submitted_ > n || stop_)) cv_.wait(lk);
-      if (stop_ && submitted_ <= n) return;
-    }
-    core::batch_slot& s = *pipe_.slots[n % cfg_.pipeline_depth];
-    const std::uint64_t t0 = common::now_nanos();
-    pipe_.planners[p].plan(*s.batch, s.plan_outs[p]);
-    const std::uint64_t t1 = common::now_nanos();
-    static const obs::histogram plan_busy("engine.plan_busy_nanos");
-    plan_busy.record_nanos(t1 - t0);
-    obs::record_span(obs::trace_stage::plan, t0, t1 - t0, s.batch->id(),
-                     static_cast<std::uint32_t>(n % cfg_.pipeline_depth));
-    // relaxed: stat counter, read at the drain quiescent point.
-    s.plan_busy_nanos.fetch_add(t1 - t0, std::memory_order_relaxed);
-    if (s.plan_pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last planner of the slot ships every remote bundle before marking
-      // the batch ready, so this node's executors (and every other's)
-      // never start ahead of their inputs. Overlaps the previous batch's
-      // execution — the epilogue no longer serializes planning.
-      if (pl_.nodes > 1) {
-        common::mutex_lock nl(net_mu_);
-        ship_plan_bundles(s.batch->id());
-      }
-      common::mutex_lock lk(mu_);
-      s.ready_nanos = common::now_nanos();
-      ready_ = n + 1;
-      cv_.notify_all();
-    }
-  }
-}
-
-void dist_quecc_engine::executor_main(worker_id_t e) {
-  common::name_self("dq-n" + std::to_string(pl_.node_of_executor(e)) +
-                    "-exec-" + std::to_string(e));
-  if (cfg_.pin_threads) common::pin_self_to(plan_.executor_cpu[e]);
-  core::executor& ex = *pipe_.executors[e];
-  for (std::uint64_t n = 0;; ++n) {
-    core::batch_slot* sp;
-    {
-      common::mutex_lock lk(mu_);
-      // Gated by published_ (see core/engine.cpp): the previous batch's
-      // state-mutating epilogue half must finish first; only its commit
-      // broadcast may still be in flight on the epilogue worker.
-      while (!((ready_ > n && published_ == n) || stop_)) cv_.wait(lk);
-      if (stop_ && !(ready_ > n && published_ == n)) return;
-      sp = pipe_.slots[n % cfg_.pipeline_depth].get();
-      if (sp->exec_start_nanos == 0) {
-        sp->exec_start_nanos = common::now_nanos();
-        // See core/engine.cpp: RC read-queue rids resolve at the
-        // quiescent point, not under concurrent execution.
-        if (cfg_.pipeline_depth > 1) sp->resolve_read_queues(db_);
-      }
-    }
-    core::batch_slot& s = *sp;
-    const std::uint64_t t0 = common::now_nanos();
-    ex.begin_batch(s.submit_nanos);
-    ex.run_conflict_queues(s.exec_queues[e]);
-    if (!s.read_queues.empty()) {
-      ex.run_read_queues(s.read_queues, s.read_cursor);
-    }
-    const std::uint64_t t1 = common::now_nanos();
-    static const obs::histogram exec_busy("engine.exec_busy_nanos");
-    exec_busy.record_nanos(t1 - t0);
-    obs::record_span(obs::trace_stage::exec, t0, t1 - t0, s.batch->id(),
-                     static_cast<std::uint32_t>(n % cfg_.pipeline_depth));
-    // relaxed: stat counter, read at the drain quiescent point.
-    s.exec_busy_nanos.fetch_add(t1 - t0, std::memory_order_relaxed);
-    if (s.exec_pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      common::mutex_lock lk(mu_);
-      s.exec_end_nanos = common::now_nanos();
-      exec_done_ = n + 1;
-      cv_.notify_all();
-    }
-  }
-}
+      // A single node has no remote peer, so no rounds and no hooks.
+      driver_(db, globalize(cfg), "dq", cfg.nodes > 1 ? this : nullptr) {}
 
 void dist_quecc_engine::drain_expected(net::node_id_t node,
                                        net::msg_type type,
@@ -169,124 +42,41 @@ void dist_quecc_engine::drain_expected(net::node_id_t node,
   }
 }
 
-void dist_quecc_engine::ship_plan_bundles(std::uint32_t batch_id) {
+void dist_quecc_engine::after_plan(const txn::batch& b) {
+  common::mutex_lock nl(net_mu_);
   // Every planner ships one bundle (its E queues for that node's
   // executors) to every remote node. The sends overlap, so all nodes
   // resume after a single one-way latency.
-  for (worker_id_t p = 0; p < cfg_.planner_threads; ++p) {
+  for (worker_id_t p = 0; p < pl_.total_planners(); ++p) {
     const net::node_id_t from = pl_.node_of_planner(p);
     for (net::node_id_t n = 0; n < pl_.nodes; ++n) {
       if (n == from) continue;
-      net_.send({from, n, net::msg_type::plan_queues, p, batch_id, {}});
+      net_.send({from, n, net::msg_type::plan_queues, p, b.id(), {}});
     }
   }
   const std::size_t remote_planners =
-      static_cast<std::size_t>(cfg_.planner_threads) - pl_.planners_per_node;
+      static_cast<std::size_t>(pl_.total_planners()) - pl_.planners_per_node;
   for (net::node_id_t n = 0; n < pl_.nodes; ++n) {
     drain_expected(n, net::msg_type::plan_queues, remote_planners);
   }
 }
 
-void dist_quecc_engine::done_round(std::uint32_t batch_id) {
+void dist_quecc_engine::pre_publish(const txn::batch& b) {
+  common::mutex_lock nl(net_mu_);
   for (net::node_id_t n = 1; n < pl_.nodes; ++n) {
-    net_.send({n, 0, net::msg_type::batch_done, batch_id, 0, {}});
+    net_.send({n, 0, net::msg_type::batch_done, b.id(), 0, {}});
   }
   drain_expected(0, net::msg_type::batch_done,
                  static_cast<std::size_t>(pl_.nodes) - 1);
 }
 
-void dist_quecc_engine::commit_round(std::uint32_t batch_id) {
-  net_.broadcast({0, 0, net::msg_type::batch_commit, batch_id, 0, {}});
+void dist_quecc_engine::post_publish(const txn::batch& b,
+                                     common::run_metrics& m) {
+  common::mutex_lock nl(net_mu_);
+  net_.broadcast({0, 0, net::msg_type::batch_commit, b.id(), 0, {}});
   for (net::node_id_t n = 1; n < pl_.nodes; ++n) {
     drain_expected(n, net::msg_type::batch_commit, 1);
   }
-}
-
-void dist_quecc_engine::submit_batch(txn::batch& b, common::run_metrics& m) {
-  while (true) {
-    {
-      common::mutex_lock lk(mu_);
-      if (submitted_ - drained_ < cfg_.pipeline_depth) break;
-    }
-    drain_batch();
-  }
-  common::mutex_lock lk(mu_);
-  core::batch_slot& s = *pipe_.slots[submitted_ % cfg_.pipeline_depth];
-  s.batch = &b;
-  s.metrics = &m;
-  s.submit_nanos = common::now_nanos();
-  s.ready_nanos = s.exec_start_nanos = s.exec_end_nanos = 0;
-  // relaxed: slot resets are published by ++submitted_ under mu_ below.
-  s.read_cursor.store(0, std::memory_order_relaxed);
-  s.plan_busy_nanos.store(0, std::memory_order_relaxed);
-  s.exec_busy_nanos.store(0, std::memory_order_relaxed);
-  s.plan_pending.store(cfg_.planner_threads, std::memory_order_relaxed);
-  s.exec_pending.store(cfg_.executor_threads, std::memory_order_relaxed);
-  ++submitted_;
-  cv_.notify_all();
-}
-
-void dist_quecc_engine::epilogue_main() {
-  common::name_self("dq-epilogue");
-  if (cfg_.pin_threads) common::pin_self_to(plan_.epilogue_cpu);
-  for (std::uint64_t n = 0;; ++n) {
-    {
-      common::mutex_lock lk(mu_);
-      while (!(exec_done_ > n || stop_)) cv_.wait(lk);
-      if (stop_ && exec_done_ <= n) return;
-    }
-    run_epilogue(n);
-  }
-}
-
-void dist_quecc_engine::run_epilogue(std::uint64_t n) {
-  core::batch_slot& s = *pipe_.slots[n % cfg_.pipeline_depth];
-  txn::batch& b = *s.batch;
-  common::run_metrics& m = *s.metrics;
-
-  if (pl_.nodes > 1) {
-    common::mutex_lock nl(net_mu_);
-    done_round(b.id());
-  }
-  // The nodes share one deterministic view of the batch, so the commit
-  // epilogue (speculative recovery + status marking) runs once globally —
-  // the paradigm's "no 2PC" commit. Executors for the next batch wait on
-  // published_, so this is the per-slot inter-batch quiescent point.
-  const std::uint64_t epi0 = common::now_nanos();
-  core::batch_epilogue(db_, cfg_, b, pipe_.executors, spec_,
-                       committed_.get(), m);
-
-  {
-    common::mutex_lock lk(mu_);
-    published_ = n + 1;  // releases executors into batch n+1
-    cv_.notify_all();
-  }
-
-  // Commit broadcast after the publication point: it mutates no database
-  // state (the commit decision was implicit in the deterministic phases),
-  // so batch n+1's execution overlaps the round's simulated latency.
-  // net_mu_ still serializes it against bundle shipments.
-  if (pl_.nodes > 1) {
-    common::mutex_lock nl(net_mu_);
-    commit_round(b.id());
-  }
-  const std::uint64_t epi1 = common::now_nanos();
-  static const obs::histogram epi_hist("engine.epilogue_nanos");
-  epi_hist.record_nanos(epi1 - epi0);
-  static const obs::counter drained_ctr("engine.batches_drained_total");
-  drained_ctr.inc();
-  obs::record_span(obs::trace_stage::epilogue, epi0, epi1 - epi0, b.id(),
-                   static_cast<std::uint32_t>(n % cfg_.pipeline_depth));
-
-  m.batches += 1;
-  // relaxed: quiescent point — workers finished under mu_ (see engine.cpp).
-  m.plan_busy_seconds +=
-      static_cast<double>(s.plan_busy_nanos.load(std::memory_order_relaxed)) /
-      1e9;
-  m.exec_busy_seconds +=
-      static_cast<double>(s.exec_busy_nanos.load(std::memory_order_relaxed)) /
-      1e9;
-  m.epilogue_busy_seconds += static_cast<double>(epi1 - epi0) / 1e9;
   // Message accounting by snapshot delta: the network counter is shared
   // with bundle rounds of batches still being planned, so per-batch resets
   // would race — the cumulative delta per retirement attributes every
@@ -294,48 +84,6 @@ void dist_quecc_engine::run_epilogue(std::uint64_t n) {
   const std::uint64_t sent = net_.messages_sent();
   m.messages += sent - last_messages_;
   last_messages_ = sent;
-  const std::uint64_t drain_nanos = common::now_nanos();
-  const std::uint64_t from = std::max(s.submit_nanos, last_drain_nanos_);
-  m.elapsed_seconds += static_cast<double>(drain_nanos - from) / 1e9;
-  last_drain_nanos_ = drain_nanos;
-
-  {
-    common::mutex_lock lk(mu_);
-    epilogue_done_ = n + 1;
-    cv_.notify_all();
-  }
-}
-
-bool dist_quecc_engine::drain_batch() {
-  std::uint64_t n;
-  core::batch_slot* sp;
-  {
-    common::mutex_lock lk(mu_);
-    if (drained_ == submitted_) return false;
-    n = drained_;
-    if (use_async_epilogue_) {
-      while (epilogue_done_ <= n) cv_.wait(lk);
-    } else {
-      while (exec_done_ <= n) cv_.wait(lk);
-    }
-    sp = pipe_.slots[n % cfg_.pipeline_depth].get();
-  }
-  if (!use_async_epilogue_) run_epilogue(n);
-
-  {
-    common::mutex_lock lk(mu_);
-    sp->batch = nullptr;
-    sp->metrics = nullptr;
-    drained_ = n + 1;
-    cv_.notify_all();
-  }
-  return true;
-}
-
-void dist_quecc_engine::run_batch(txn::batch& b, common::run_metrics& m) {
-  submit_batch(b, m);
-  while (drain_batch()) {
-  }
 }
 
 }  // namespace quecc::dist

@@ -1,6 +1,7 @@
 // Plan codec: versioned binary (de)serialization of planned batches.
 //
-// The durability corollary of the paradigm (DESIGN.md / paper Section 3.2):
+// The durability corollary of the paradigm (paper Section 3.2; README
+// "Durability & recovery"):
 // execution is a deterministic function of the planned batch, so logging
 // the *plan* — procedure, arguments, fragments, sequence order — is a
 // complete command log. No per-row redo/undo images are ever written;

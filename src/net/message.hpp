@@ -1,8 +1,8 @@
 // Messages exchanged between simulated nodes.
 //
-// The cluster is simulated in-process (DESIGN.md 2.5): payloads that would
-// be serialized in a real deployment (fragment queues, read results) stay
-// in shared memory, while the *cost* of communication — per-message latency
+// The cluster is simulated in-process (every node shares one process and
+// one storage engine): payloads that would be serialized in a real
+// deployment (fragment queues, read results) stay in shared memory, while the *cost* of communication — per-message latency
 // and message counts — is modeled by the network. Messages therefore carry
 // only small scalar operands identifying what became available.
 #pragma once

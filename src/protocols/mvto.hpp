@@ -1,8 +1,8 @@
 // Multi-version timestamp ordering (MVTO).
 //
 // Stands in for the multi-version baselines of Table 2 row 3 (Cicada,
-// ERMIA, FOEDUS) — see the substitution note in DESIGN.md §2.5: those
-// systems' contention behaviour (timestamped version chains, read-rule and
+// ERMIA, FOEDUS), which are not ported: those systems' contention
+// behaviour (timestamped version chains, read-rule and
 // write-rule aborts) is what drives the paper's comparison, and MVTO
 // exercises exactly that machinery.
 //

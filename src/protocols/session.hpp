@@ -17,8 +17,8 @@
 //
 // Durable ack: the pump calls engine::sync_durable() after every batch,
 // *before* resolving tickets. Against a durable engine (config::durable)
-// a resolved ticket therefore means the batch's commit record is fsynced
-// — the group-commit wait shows up in e2e latency, not as a weaker
+// a resolved ticket therefore means the batch's plan and commit records
+// are fsynced — the group-commit wait shows up in e2e latency, not as a weaker
 // acknowledgement. Against in-memory engines sync_durable is a no-op and
 // nothing changes.
 //

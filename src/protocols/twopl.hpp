@@ -5,8 +5,8 @@
 //    exact baseline named in Table 2 row 3 of the paper.
 //  * 2PL-WaitDie — exclusive-only port: older transactions (smaller
 //    timestamp) wait for the holder, younger ones die and retry with the
-//    same timestamp. Exclusive-only keeps the holder timestamp unambiguous;
-//    the reduced read concurrency is documented in DESIGN.md.
+//    same timestamp. Exclusive-only keeps the holder timestamp unambiguous,
+//    at the price of serializing readers of a hot row.
 //
 // Lock state lives in row_meta.word1 (bit 63 = exclusive, low bits =
 // shared count) and word2 (holder timestamp, wait-die only).

@@ -15,7 +15,7 @@
 //    erase tombstones the row id in place (slot retired, reclaimed only by
 //    a re-insert of the same key) — so a lock-free walk can never observe
 //    a torn or recycled slot. The deterministic engines rely on this:
-//    partition-local lookups (planner resolve, executor resolve fallback)
+//    partition-local lookups (executor resolve, RC read-queue resolve)
 //    take no index lock at all, the paper's "no per-record concurrency
 //    control on the execution path" made literal. `lookup` (stripe-locked)
 //    remains for callers without partition affinity.

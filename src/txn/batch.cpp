@@ -49,7 +49,8 @@ void validate_plan(const txn_desc& t) {
     }
     // Conservative execution's commit-dependency wait is deadlock-free only
     // when every abort decision precedes every database update in fragment
-    // order (DESIGN.md 2.2 / 2.3): "know your fate before you write".
+    // order — "know your fate before you write": otherwise an update could
+    // wait on an abortable fragment queued behind it in the same FIFO.
     if (f.updates_database()) saw_update = true;
     if (f.abortable && saw_update) {
       fail("abortable fragment ordered after a database update");

@@ -48,8 +48,8 @@ class batch {
 
 /// Structural invariants a planned transaction must satisfy:
 ///  * every input slot is produced by a fragment with a smaller idx
-///    (data dependencies point backwards — the planner's deadlock-freedom
-///    argument in DESIGN.md 2.2 depends on it),
+///    (data dependencies point backwards — the executor's data-dependency
+///    wait is deadlock-free only because of it, see core/executor.cpp),
 ///  * output slots are within the procedure's slot count and unique,
 ///  * abortable fragments are read-only (commit-dependency wait safety),
 ///  * fragment idx values are 0..n-1 in order.

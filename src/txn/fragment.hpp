@@ -29,7 +29,7 @@ namespace quecc::txn {
 enum class op_kind : std::uint8_t {
   read,    ///< read-only access
   update,  ///< read-modify-write in place
-  insert,  ///< create the record (key known at plan time, see DESIGN.md)
+  insert,  ///< create the record (key known at plan time: routing needs it)
   erase,   ///< unlink the record
   scan,    ///< ordered range read over [key, key_hi) — see below
 };
@@ -52,14 +52,15 @@ enum class frag_status : std::uint8_t {
   abort,  ///< deterministic logic abort (abortable fragments only)
 };
 
-/// A planned fragment. Immutable during the execution phase except for
-/// `rid`, which the planner resolves (index lookup) before queues are
-/// released — part of the paradigm's "planning does the lookups" design.
+/// A planned fragment. Immutable during the execution phase. `rid` is set
+/// only for read-committed read-queue fragments, resolved at the
+/// pre-execution quiescent point (core::batch_slot::resolve_read_queues);
+/// every other fragment resolves its key at execution time.
 struct fragment {
   table_id_t table = 0;
   part_id_t part = 0;  ///< home partition: routing target for queues
   key_t key = kInvalidKey;
-  storage::row_id_t rid = storage::kNoRow;  ///< resolved in planning phase
+  storage::row_id_t rid = storage::kNoRow;  ///< RC read queues only
 
   op_kind kind = op_kind::read;
   bool abortable = false;  ///< may deterministically abort the transaction

@@ -15,8 +15,9 @@ void txn_desc::reset_runtime() {
   for (const auto& f : frags) {
     if (f.abortable) {
       if (f.updates_database()) {
-        // DESIGN.md 2.2: abortable fragments must be read-only so that the
-        // conservative executor's commit-dependency wait cannot deadlock.
+        // Abortable fragments must be read-only: the conservative
+        // executor holds an update until pending_abortables reaches zero,
+        // which an abortable update would wait on itself to do.
         throw std::logic_error(
             "abortable fragments must not update the database");
       }

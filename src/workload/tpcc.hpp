@@ -12,8 +12,8 @@
 //   OrderStatus — read-only customer + order + order-line reads.
 //   Delivery    — new-order consumption (erase), carrier update, order-line
 //                 delivery dates feeding the customer balance via data
-//                 dependencies. One district per transaction (documented
-//                 simplification, DESIGN.md).
+//                 dependencies. One district per transaction (see the
+//                 deviations below).
 //   StockLevel  — read-only stock scans of the most recent order's items
 //                 with an aggregating fragment.
 //

@@ -9,6 +9,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 
 #include "core/engine.hpp"
 #include "harness/runner.hpp"
@@ -16,6 +17,7 @@
 #include "log/log_writer.hpp"
 #include "log/plan_codec.hpp"
 #include "log/recovery.hpp"
+#include "protocols/iface.hpp"
 #include "protocols/session.hpp"
 #include "test_util.hpp"
 #include "workload/bank.hpp"
@@ -900,65 +902,70 @@ TEST(Recovery, ResumedEngineContinuesDurableLoggingInPlace) {
   // The full --recover story: durable run dies after 4 of 8 batches; a
   // recovery replays them; a *resumed durable* engine (log_resume) appends
   // batches 4..7 to the same log; a second recovery of that log — with no
-  // resume step left — lands on the uninterrupted 8-batch hash.
-  temp_dir dir;
-  wl::ycsb w(small_ycsb());
+  // resume step left — lands on the uninterrupted 8-batch hash. Both queue
+  // engines run it: they share one stage driver, durability included.
+  for (const char* engine : {"quecc", "dist-quecc"}) {
+    SCOPED_TRACE(engine);
+    temp_dir dir;
+    wl::ycsb w(small_ycsb());
+    common::config base = small_engine_cfg();
+    if (std::string_view(engine) == "dist-quecc") base.nodes = 2;
 
-  {  // original durable run: first 4 batches, then "crash" (clean stop)
-    storage::database db;
-    w.load(db);
-    common::config cfg = small_engine_cfg();
-    cfg.durable = true;
-    cfg.log_dir = dir.path;
-    core::quecc_engine eng(db, cfg);
-    common::rng r(kSeed);
-    common::run_metrics m;
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      txn::batch b = w.make_batch(r, kBatchSize, i);
-      eng.run_batch(b, m);
+    {  // original durable run: first 4 batches, then "crash" (clean stop)
+      storage::database db;
+      w.load(db);
+      common::config cfg = base;
+      cfg.durable = true;
+      cfg.log_dir = dir.path;
+      auto eng = proto::make_engine(engine, db, cfg);
+      common::rng r(kSeed);
+      common::run_metrics m;
+      for (std::uint32_t i = 0; i < 4; ++i) {
+        txn::batch b = w.make_batch(r, kBatchSize, i);
+        eng->run_batch(b, m);
+      }
+      eng->sync_durable();
     }
-    eng.sync_durable();
+
+    {  // recover, then resume durably in place for the remaining 4 batches
+      storage::database db;
+      w.load(db);
+      log::recovery_result rec;
+      {
+        auto replay_eng = proto::make_engine(engine, db, base);
+        rec = log::recover(dir.path, db, *replay_eng, log::resolver_for(w));
+      }
+      EXPECT_EQ(rec.batches_replayed, 4u);
+      EXPECT_EQ(rec.txns_applied, 4u * kBatchSize);
+
+      common::config cfg = base;
+      cfg.durable = true;
+      cfg.log_dir = dir.path;
+      cfg.log_resume = true;
+      cfg.log_resume_stream_pos = rec.txns_applied;
+      auto eng = proto::make_engine(engine, db, cfg);
+      common::rng r(kSeed);
+      for (std::uint64_t i = 0; i < rec.txns_applied; ++i) {
+        (void)w.make_txn(r);  // advance the deterministic generator
+      }
+      common::run_metrics m;
+      std::uint32_t id = rec.next_batch_id;
+      for (std::uint32_t i = 0; i < 4; ++i) {
+        txn::batch b = w.make_batch(r, kBatchSize, id++);
+        eng->run_batch(b, m);
+      }
+      eng->sync_durable();
+      EXPECT_EQ(db.state_hash(), reference_hash(8, kBatchSize, kSeed));
+    }
+
+    // The resumed log is a complete, recoverable history of all 8 batches.
+    const auto rec2 = recover_fresh(dir.path);
+    EXPECT_EQ(rec2.res.txns_applied, 8u * kBatchSize);
+    EXPECT_EQ(rec2.hash, reference_hash(8, kBatchSize, kSeed));
+    const auto commits = scan_commits(dir.path);
+    ASSERT_EQ(commits.size(), 8u);
+    EXPECT_EQ(commits.back().stream_pos, 8u * kBatchSize);
   }
-
-  {  // recover, then resume durably in place for the remaining 4 batches
-    storage::database db;
-    w.load(db);
-    log::recovery_result rec;
-    {
-      common::config replay_cfg = small_engine_cfg();
-      core::quecc_engine replay_eng(db, replay_cfg);
-      rec = log::recover(dir.path, db, replay_eng, log::resolver_for(w));
-    }
-    EXPECT_EQ(rec.batches_replayed, 4u);
-    EXPECT_EQ(rec.txns_applied, 4u * kBatchSize);
-
-    common::config cfg = small_engine_cfg();
-    cfg.durable = true;
-    cfg.log_dir = dir.path;
-    cfg.log_resume = true;
-    cfg.log_resume_stream_pos = rec.txns_applied;
-    core::quecc_engine eng(db, cfg);
-    common::rng r(kSeed);
-    for (std::uint64_t i = 0; i < rec.txns_applied; ++i) {
-      (void)w.make_txn(r);  // advance the deterministic generator
-    }
-    common::run_metrics m;
-    std::uint32_t id = rec.next_batch_id;
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      txn::batch b = w.make_batch(r, kBatchSize, id++);
-      eng.run_batch(b, m);
-    }
-    eng.sync_durable();
-    EXPECT_EQ(db.state_hash(), reference_hash(8, kBatchSize, kSeed));
-  }
-
-  // The resumed log is a complete, recoverable history of all 8 batches.
-  const auto rec2 = recover_fresh(dir.path);
-  EXPECT_EQ(rec2.res.txns_applied, 8u * kBatchSize);
-  EXPECT_EQ(rec2.hash, reference_hash(8, kBatchSize, kSeed));
-  const auto commits = scan_commits(dir.path);
-  ASSERT_EQ(commits.size(), 8u);
-  EXPECT_EQ(commits.back().stream_pos, 8u * kBatchSize);
 }
 
 TEST(Recovery, ResumedLogReplansUnacknowledgedBatchLastRecordWins) {

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "core/engine.hpp"
+#include "dist/dist_quecc.hpp"
 #include "harness/runner.hpp"
 #include "protocols/iface.hpp"
 #include "protocols/session.hpp"
@@ -236,12 +237,16 @@ struct stage3_params {
   exec_model exec;
 };
 
-std::string stage3_name(const testing::TestParamInfo<stage3_params>& info) {
-  std::string e = info.param.engine;
+/// Engine name as a gtest parameter label ('-' is not allowed there).
+std::string engine_label(std::string e) {
   for (auto& c : e) {
     if (c == '-') c = '_';
   }
-  return e + "_" +
+  return e;
+}
+
+std::string stage3_name(const testing::TestParamInfo<stage3_params>& info) {
+  return engine_label(info.param.engine) + "_" +
          (info.param.exec == exec_model::speculative ? "spec" : "cons");
 }
 
@@ -454,28 +459,57 @@ TEST(PipelineApi, EngineDestructorDrainsLeftoverBatches) {
   EXPECT_EQ(m.committed + m.aborted, 2u * 128u);
 }
 
-// --- per-slot phase stats --------------------------------------------------
+// --- per-slot phase stats (both queue engines, one stage driver) -----------
 
-TEST(PipelineStats, BusyTimesAndOccupancyAreReported) {
+/// `engine` at the given depth; dist-quecc runs two nodes of base_cfg's
+/// per-node thread counts.
+std::unique_ptr<proto::engine> stats_engine(const std::string& engine,
+                                            storage::database& db,
+                                            std::uint32_t depth) {
+  config cfg = base_cfg(depth, exec_model::speculative);
+  if (engine == "dist-quecc") {
+    cfg.nodes = 2;
+    cfg.net_latency_micros = 10;
+  }
+  return proto::make_engine(engine, db, cfg);
+}
+
+const core::phase_stats& last_phases(const proto::engine& eng) {
+  if (const auto* q = dynamic_cast<const core::quecc_engine*>(&eng)) {
+    return q->last_phases();
+  }
+  return dynamic_cast<const dist::dist_quecc_engine&>(eng).last_phases();
+}
+
+class PipelineStats : public testing::TestWithParam<const char*> {};
+
+INSTANTIATE_TEST_SUITE_P(Engines, PipelineStats,
+                         testing::Values("quecc", "dist-quecc"),
+                         [](const testing::TestParamInfo<const char*>& info) {
+                           return engine_label(info.param);
+                         });
+
+TEST_P(PipelineStats, BusyTimesAndOccupancyAreReported) {
   wl::ycsb_config wcfg;
   wcfg.table_size = 1 << 14;
   wcfg.ops_per_txn = 8;
   wl::ycsb w(wcfg);
   auto db = testutil::make_loaded_db(w);
-  core::quecc_engine eng(*db, base_cfg(2, exec_model::speculative));
+  auto eng = stats_engine(GetParam(), *db, 2);
 
   harness::run_options opts;
   opts.batches = 4;
   opts.batch_size = 2048;
-  const auto res = harness::run_workload(eng, w, *db, opts);
+  const auto res = harness::run_workload(*eng, w, *db, opts);
 
   EXPECT_GT(res.metrics.plan_busy_seconds, 0.0);
   EXPECT_GT(res.metrics.exec_busy_seconds, 0.0);
   EXPECT_GE(res.metrics.pipeline_overlap_seconds, 0.0);
   // summary() must surface the stage accounting at depth >= 2.
-  EXPECT_NE(res.metrics.summary("quecc").find("stages{"), std::string::npos);
+  EXPECT_NE(res.metrics.summary(GetParam()).find("stages{"),
+            std::string::npos);
 
-  const auto& ph = eng.last_phases();
+  const auto& ph = last_phases(*eng);
   EXPECT_GT(ph.plan_seconds, 0.0);
   EXPECT_GT(ph.exec_seconds, 0.0);
   EXPECT_GT(ph.plan_busy_seconds, 0.0);
@@ -483,27 +517,27 @@ TEST(PipelineStats, BusyTimesAndOccupancyAreReported) {
   EXPECT_GT(ph.planned_fragments, 0u);
 }
 
-TEST(PipelineStats, OverlapIsObservedWhenBatchesAreInFlightTogether) {
+TEST_P(PipelineStats, OverlapIsObservedWhenBatchesAreInFlightTogether) {
   // Two fat batches submitted back to back: batch 1's planning window
   // necessarily intersects batch 0's execution window (both are in flight
   // between the submits and the first drain). Wall-clock windows overlap
   // even on a single-CPU box as long as planning 1 starts before exec 0
-  // finishes, which the batch size makes effectively certain.
+  // finishes, which the batch size makes effectively certain. Batches are
+  // generated up front: generating one takes about as long as executing
+  // one, which would otherwise let batch 0 finish before batch 1 arrives.
   wl::ycsb_config wcfg;
   wcfg.table_size = 1 << 14;
   wcfg.ops_per_txn = 16;
   wl::ycsb w(wcfg);
   auto db = testutil::make_loaded_db(w);
-  core::quecc_engine eng(*db, base_cfg(2, exec_model::speculative));
+  auto eng = stats_engine(GetParam(), *db, 2);
 
   common::rng r(1);
   common::run_metrics m;
   std::deque<txn::batch> inflight;
-  for (int i = 0; i < 4; ++i) {
-    inflight.push_back(w.make_batch(r, 8192, i));
-    eng.submit_batch(inflight.back(), m);
-  }
-  while (eng.drain_batch()) {
+  for (int i = 0; i < 4; ++i) inflight.push_back(w.make_batch(r, 8192, i));
+  for (auto& b : inflight) eng->submit_batch(b, m);
+  while (eng->drain_batch()) {
   }
   if (std::thread::hardware_concurrency() >= 4) {
     EXPECT_GT(m.pipeline_overlap_seconds, 0.0);
@@ -512,18 +546,18 @@ TEST(PipelineStats, OverlapIsObservedWhenBatchesAreInFlightTogether) {
   }
 }
 
-TEST(PipelineStats, LockstepReportsZeroOverlap) {
+TEST_P(PipelineStats, LockstepReportsZeroOverlap) {
   wl::ycsb_config wcfg;
   wcfg.table_size = 4096;
   wl::ycsb w(wcfg);
   auto db = testutil::make_loaded_db(w);
-  core::quecc_engine eng(*db, base_cfg(1, exec_model::speculative));
+  auto eng = stats_engine(GetParam(), *db, 1);
   harness::run_options opts;
   opts.batches = 3;
   opts.batch_size = 512;
-  const auto res = harness::run_workload(eng, w, *db, opts);
+  const auto res = harness::run_workload(*eng, w, *db, opts);
   EXPECT_EQ(res.metrics.pipeline_overlap_seconds, 0.0);
-  EXPECT_EQ(eng.last_phases().overlap_seconds, 0.0);
+  EXPECT_EQ(last_phases(*eng).overlap_seconds, 0.0);
 }
 
 // --- sessions over a pipelined engine --------------------------------------
