@@ -1,11 +1,12 @@
 #include "core/spec_manager.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
-#include <tuple>
-#include <unordered_map>
 #include <utility>
 
+#include "common/stats.hpp"
 #include "protocols/local_host.hpp"
 #include "txn/procedure.hpp"
 
@@ -13,19 +14,204 @@ namespace quecc::core {
 
 namespace {
 
-/// Record identity for recovery bookkeeping. A 64-bit mixed fingerprint of
-/// (table, key); a collision would merely over-taint (re-execute an
-/// unaffected transaction with unchanged inputs — a harmless no-op) and is
-/// deterministic across runs, so exactness is not required.
-std::uint64_t rec_id(table_id_t table, key_t key) noexcept {
-  std::uint64_t h = key + 0x9e3779b97f4a7c15ull * (table + 1);
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 29;
-  return h;
+/// Group (seq, value) pairs by seq < n into CSR arrays: seq s owns
+/// vals[off[s], off[s+1]), in input order (a counting sort).
+void group_by_seq(const std::vector<std::pair<seq_t, std::uint32_t>>& pairs,
+                  std::size_t n, std::vector<std::uint32_t>& off,
+                  std::vector<std::uint32_t>& vals) {
+  off.assign(n + 1, 0);
+  for (const auto& p : pairs) ++off[p.first + 1];
+  for (std::size_t i = 0; i < n; ++i) off[i + 1] += off[i];
+  vals.resize(pairs.size());
+  for (const auto& [s, v] : pairs) vals[off[s]++] = v;
+  // off[s] now ends bucket s; shift to bucket starts.
+  for (std::size_t i = n; i > 0; --i) off[i] = off[i - 1];
+  off[0] = 0;
+}
+
+/// Undo one executor-log entry: before-image for updates, unlink + free
+/// the slot for inserts, re-link for erases.
+void undo(storage::database& db, const exec_logs& log, const undo_entry& u) {
+  auto& tab = db.at(u.table);
+  switch (u.op) {
+    case txn::op_kind::update:
+      std::memcpy(tab.row(u.rid).data(), log.arena.data() + u.arena_offset,
+                  u.len);
+      break;
+    case txn::op_kind::insert:
+      tab.erase(u.key, storage::rid_shard(u.rid));
+      tab.retire_unindexed(u.rid);
+      break;
+    case txn::op_kind::erase:
+      tab.index_row(u.key, u.rid);
+      break;
+    case txn::op_kind::read:
+    case txn::op_kind::scan:
+      break;
+  }
+}
+
+/// Walk every log's undo entries newest-first, undoing those whose seq
+/// `pick` selects. A record's entries live in one log in sequence order,
+/// so this undoes each record's selected entries newest-first; distinct
+/// logs touch distinct records, and the fixed log order fixes the order
+/// slots return to the free lists.
+template <typename Pick>
+void rollback(storage::database& db, std::span<exec_logs* const> logs,
+              Pick pick) {
+  for (const exec_logs* log : logs) {
+    for (auto it = log->undo.rbegin(); it != log->undo.rend(); ++it) {
+      if (pick(it->seq)) undo(db, *log, *it);
+    }
+  }
 }
 
 }  // namespace
+
+/// LSD radix sort by (table, key, seq), one byte per pass, least
+/// significant first. One read pass histograms every byte; bytes on which
+/// all entries agree get no pass. Stable, and a pure function of the input.
+void spec_manager::radix_sort(std::vector<access>& v,
+                              std::vector<access>& tmp) {
+  // The 112-bit sort key as two words: lo = key[31:0] . seq,
+  // hi = table . key[63:32].
+  const auto lo = [](const access& a) {
+    return (a.key << 32) | a.seq;
+  };
+  const auto hi = [](const access& a) {
+    return (static_cast<std::uint64_t>(a.table) << 32) | (a.key >> 32);
+  };
+  constexpr int kBytes = 14;
+  std::array<std::array<std::uint32_t, 256>, kBytes> count{};
+  for (const access& a : v) {
+    const std::uint64_t l = lo(a);
+    const std::uint64_t h = hi(a);
+    for (int d = 0; d < 8; ++d) ++count[d][(l >> (8 * d)) & 0xff];
+    for (int d = 8; d < kBytes; ++d) ++count[d][(h >> (8 * (d - 8))) & 0xff];
+  }
+  tmp.resize(v.size());
+  for (int d = 0; d < kBytes; ++d) {
+    auto& c = count[d];
+    if (std::find(c.begin(), c.end(), v.size()) != c.end()) continue;
+    std::uint32_t sum = 0;
+    for (auto& x : c) sum += std::exchange(x, sum);  // bucket starts
+    const int shift = 8 * (d < 8 ? d : d - 8);
+    for (const access& a : v) {
+      const std::uint64_t w = d < 8 ? lo(a) : hi(a);
+      tmp[c[(w >> shift) & 0xff]++] = a;
+    }
+    v.swap(tmp);
+  }
+}
+
+std::uint32_t spec_manager::lower_record(table_id_t table,
+                                         key_t key) const noexcept {
+  const auto it = std::lower_bound(
+      records_.begin(), records_.end(), record{key, table},
+      [](const record& a, const record& b) {
+        return a.table != b.table ? a.table < b.table : a.key < b.key;
+      });
+  return static_cast<std::uint32_t>(it - records_.begin());
+}
+
+std::uint32_t spec_manager::find_record(table_id_t table,
+                                        key_t key) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t h = record_hash(table, key) & mask;; h = (h + 1) & mask) {
+    const std::uint32_t r = slots_[h];
+    if (r == kNoRecord ||
+        (records_[r].key == key && records_[r].table == table)) {
+      return r;
+    }
+  }
+}
+
+std::uint32_t spec_manager::build_index(std::span<exec_logs* const> logs,
+                                        std::size_t n) {
+  accesses_.clear();
+  ranges_.clear();
+  for (std::size_t l = 0; l < logs.size(); ++l) {
+    for (const auto& r : logs[l]->reads) {
+      if (r.hi != 0) {
+        ranges_.push_back(r);
+      } else {
+        accesses_.push_back({r.key, r.seq, r.table, kReadOnly});
+      }
+    }
+    for (const auto& u : logs[l]->undo) {
+      accesses_.push_back({u.key, u.seq, u.table,
+                           static_cast<std::uint16_t>(l)});
+    }
+  }
+  radix_sort(accesses_, scratch_);
+
+  records_.clear();
+  acc_off_.clear();
+  acc_seq_.clear();
+  wr_off_.clear();
+  wr_seq_.clear();
+  pairs_.clear();
+  std::uint32_t split = 0;
+  std::uint16_t rec_log = kReadOnly;
+  bool rec_split = false;
+  for (std::size_t i = 0; i < accesses_.size(); ++i) {
+    const access& e = accesses_[i];
+    if (records_.empty() || records_.back().table != e.table ||
+        records_.back().key != e.key) {
+      records_.push_back({e.key, e.table});
+      acc_off_.push_back(static_cast<std::uint32_t>(acc_seq_.size()));
+      wr_off_.push_back(static_cast<std::uint32_t>(wr_seq_.size()));
+      rec_log = kReadOnly;
+      rec_split = false;
+    }
+    if (acc_seq_.size() == acc_off_.back() || acc_seq_.back() != e.seq) {
+      acc_seq_.push_back(e.seq);
+    }
+    if (e.log == kReadOnly) continue;
+    if (wr_seq_.size() == wr_off_.back() || wr_seq_.back() != e.seq) {
+      wr_seq_.push_back(e.seq);
+      pairs_.emplace_back(e.seq,
+                          static_cast<std::uint32_t>(records_.size() - 1));
+    }
+    if (rec_log == kReadOnly) {
+      rec_log = e.log;
+    } else if (rec_log != e.log && !rec_split) {
+      rec_split = true;
+      ++split;
+    }
+  }
+  acc_off_.push_back(static_cast<std::uint32_t>(acc_seq_.size()));
+  wr_off_.push_back(static_cast<std::uint32_t>(wr_seq_.size()));
+  group_by_seq(pairs_, n, wrote_off_, wrote_rec_);
+
+  // Load factor <= 1/2, so probes stay short and always hit an empty slot.
+  slots_.assign(std::bit_ceil(2 * records_.size() + 2), kNoRecord);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::uint32_t r = 0; r < records_.size(); ++r) {
+    std::size_t h = record_hash(records_[r].table, records_[r].key) & mask;
+    while (slots_[h] != kNoRecord) h = (h + 1) & mask;
+    slots_[h] = r;
+  }
+
+  // Writer -> scan edges for edge (a) over ranges: a scan whose logged
+  // interval covers a key written earlier in the batch depends on that
+  // writer. Phantoms are covered: the interval holds keys the scan never
+  // saw.
+  pairs_.clear();
+  for (const read_entry& rr : ranges_) {
+    for (std::uint32_t r = lower_record(rr.table, rr.key);
+         r < records_.size() && records_[r].table == rr.table &&
+         records_[r].key < rr.hi;
+         ++r) {
+      for (std::uint32_t i = wr_off_[r];
+           i < wr_off_[r + 1] && wr_seq_[i] < rr.seq; ++i) {
+        pairs_.emplace_back(wr_seq_[i], rr.seq);
+      }
+    }
+  }
+  group_by_seq(pairs_, n, scan_off_, scan_seq_);
+  return split;
+}
 
 recovery_stats spec_manager::recover(txn::batch& b,
                                      std::span<exec_logs* const> logs) {
@@ -33,256 +219,115 @@ recovery_stats spec_manager::recover(txn::batch& b,
   extra_dirty_.clear();
 
   // --- 0. collect logic aborts -------------------------------------------
-  std::vector<std::uint8_t> affected(b.size(), 0);
-  std::vector<seq_t> worklist;
-  for (std::size_t i = 0; i < b.size(); ++i) {
+  const std::size_t n = b.size();
+  affected_.assign(n, 0);
+  worklist_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
     if (b.at(i).aborted()) {
-      affected[i] = 1;
-      worklist.push_back(static_cast<seq_t>(i));
+      affected_[i] = 1;
+      worklist_.push_back(static_cast<seq_t>(i));
       ++stats.logic_aborts;
     }
   }
-  if (worklist.empty()) return stats;
+  if (worklist_.empty()) return stats;
+  const std::uint64_t t0 = common::now_nanos();
 
-  // --- 1. taint fixpoint over speculation dependencies --------------------
-  // accessors[record] = sorted txn seqs that touched the record (reads and
-  // writes); writers[record] = sorted txn seqs that actually wrote it
-  // (undo-log evidence); written[seq] = records the txn actually wrote.
-  //
-  // Two edge kinds close the affected set:
-  //  (a) forward:  anyone who accessed a record an affected txn actually
-  //      wrote, later in sequence order, read (or built on) dirty data;
-  //  (b) backward: anyone who actually wrote a record an affected txn
-  //      touches, later in sequence order, must be undone and replayed
-  //      *after* it — otherwise the affected txn's serial re-execution
-  //      would observe values from its own future.
-  // Ranges get their own bookkeeping with REAL keys (a fingerprint cannot
-  // answer containment): executed scans logged one read entry covering
-  // [lo, hi), and the undo log names every key actually written. Phantom
-  // safety falls out: a writer inserting/erasing a key a scan did not see
-  // still lands inside the scan's logged interval.
-  struct range_read {
-    seq_t seq;
-    table_id_t table;
-    key_t lo;
-    key_t hi;
-  };
-  std::vector<range_read> range_reads;
-  bool batch_has_scans = false;
-  for (const auto& tp : b) {
-    for (const auto& f : tp->frags) {
-      if (f.kind == txn::op_kind::scan) {
-        batch_has_scans = true;
-        break;
-      }
-    }
-    if (batch_has_scans) break;
-  }
+  // --- 1. dependency index -------------------------------------------------
+  stats.split_records = build_index(logs, n);
+  const std::uint64_t t1 = common::now_nanos();
 
-  std::unordered_map<std::uint64_t, std::vector<seq_t>> accessors;
-  std::unordered_map<std::uint64_t, std::vector<seq_t>> writers;
-  std::unordered_map<seq_t, std::vector<std::uint64_t>> written;
-  // Edge (a) over ranges needs the affected txn's written keys verbatim;
-  // edge (b) over ranges needs all written (table, key, seq) sorted for
-  // interval queries. Only materialized when the batch planned scans.
-  std::unordered_map<seq_t, std::vector<std::pair<table_id_t, key_t>>>
-      written_keys;
-  std::vector<std::tuple<table_id_t, key_t, seq_t>> write_keys_sorted;
-  for (const exec_logs* log : logs) {
-    for (const auto& r : log->reads) {
-      if (r.hi != 0) {
-        range_reads.push_back({r.seq, r.table, r.key, r.hi});
-      } else {
-        accessors[rec_id(r.table, r.key)].push_back(r.seq);
-      }
-    }
-    for (const auto& u : log->undo) {
-      const auto rec = rec_id(u.table, u.key);
-      accessors[rec].push_back(u.seq);
-      writers[rec].push_back(u.seq);
-      written[u.seq].push_back(rec);
-      if (batch_has_scans) {
-        written_keys[u.seq].emplace_back(u.table, u.key);
-        write_keys_sorted.emplace_back(u.table, u.key, u.seq);
-      }
-    }
-  }
-  std::sort(write_keys_sorted.begin(), write_keys_sorted.end());
-  // In-place per-key sort: each visit mutates only its own value vector and
-  // nothing is emitted, so map iteration order cannot reach any output.
-  // quecc-ok(unordered): independent per-key mutation, no output
-  for (auto& [_, seqs] : accessors) std::sort(seqs.begin(), seqs.end());
-  // quecc-ok(unordered): independent per-key mutation, no output
-  for (auto& [_, seqs] : writers) std::sort(seqs.begin(), seqs.end());
-
-  const auto taint_after =
-      [&](const std::unordered_map<std::uint64_t, std::vector<seq_t>>& index,
-          std::uint64_t rec, seq_t t) {
-        auto it = index.find(rec);
-        if (it == index.end()) return;
-        auto lo = std::upper_bound(it->second.begin(), it->second.end(), t);
-        for (; lo != it->second.end(); ++lo) {
-          if (!affected[*lo]) {
-            affected[*lo] = 1;
-            ++stats.cascades;
-            worklist.push_back(*lo);
-          }
-        }
-      };
-
-  const auto taint_seq = [&](seq_t s) {
-    if (!affected[s]) {
-      affected[s] = 1;
+  // --- 2. watermarked taint closure ---------------------------------------
+  const auto taint = [&](seq_t s) {
+    if (!affected_[s]) {
+      affected_[s] = 1;
       ++stats.cascades;
-      worklist.push_back(s);
+      worklist_.push_back(s);
     }
   };
-
-  while (!worklist.empty()) {
-    const seq_t t = worklist.back();
-    worklist.pop_back();
-    if (auto wit = written.find(t); wit != written.end()) {
-      for (const std::uint64_t rec : wit->second) {
-        taint_after(accessors, rec, t);  // edge (a)
-      }
+  // Taint every seq > t in list[begin, end); positions >= wm are already
+  // tainted, so walk back from wm only while seqs exceed t.
+  const auto propagate = [&](const std::vector<seq_t>& list,
+                             std::uint32_t begin, std::uint32_t& wm,
+                             seq_t t) {
+    std::uint32_t i = wm;
+    while (i > begin && list[i - 1] > t) taint(list[--i]);
+    wm = i;
+  };
+  wm_a_.assign(acc_off_.begin() + 1, acc_off_.end());
+  wm_b_.assign(wr_off_.begin() + 1, wr_off_.end());
+  while (!worklist_.empty()) {
+    const seq_t t = worklist_.back();
+    worklist_.pop_back();
+    // Edge (a): later accessors of records t actually wrote, and later
+    // scans covering them.
+    for (std::uint32_t i = wrote_off_[t]; i < wrote_off_[t + 1]; ++i) {
+      const std::uint32_t r = wrote_rec_[i];
+      propagate(acc_seq_, acc_off_[r], wm_a_[r], t);
     }
-    // Edge (a) over ranges: a scan later in order whose interval covers a
-    // key this affected txn actually wrote read dirty data.
-    if (!range_reads.empty()) {
-      if (auto wk = written_keys.find(t); wk != written_keys.end()) {
-        for (const auto& [tb, k] : wk->second) {
-          for (const auto& rr : range_reads) {
-            if (rr.seq > t && rr.table == tb && rr.lo <= k && k < rr.hi) {
-              taint_seq(rr.seq);
-            }
-          }
-        }
-      }
+    for (std::uint32_t i = scan_off_[t]; i < scan_off_[t + 1]; ++i) {
+      taint(scan_seq_[i]);
     }
+    // Edge (b): later writers of every record t's fragments touch — for a
+    // scan, every record inside its range, phantom inserts/erases
+    // included.
     for (const auto& f : b.at(t).frags) {
       if (f.kind == txn::op_kind::scan) {
-        // Edge (b) over ranges: a later writer of ANY key inside this
-        // txn's scan interval must be undone and replayed after it —
-        // including phantom inserts/erases the original scan never saw.
-        auto lo = std::lower_bound(
-            write_keys_sorted.begin(), write_keys_sorted.end(),
-            std::tuple<table_id_t, key_t, seq_t>{f.table, f.key, 0});
-        for (; lo != write_keys_sorted.end() &&
-               std::get<0>(*lo) == f.table && std::get<1>(*lo) < f.key_hi;
-             ++lo) {
-          if (std::get<2>(*lo) > t) taint_seq(std::get<2>(*lo));
+        for (std::uint32_t r = lower_record(f.table, f.key);
+             r < records_.size() && records_[r].table == f.table &&
+             records_[r].key < f.key_hi;
+             ++r) {
+          propagate(wr_seq_, wr_off_[r], wm_b_[r], t);
         }
-      } else {
-        taint_after(writers, rec_id(f.table, f.key), t);  // edge (b)
+      } else if (const std::uint32_t r = find_record(f.table, f.key);
+                 r != kNoRecord) {
+        propagate(wr_seq_, wr_off_[r], wm_b_[r], t);
       }
     }
   }
+  const std::uint64_t t2 = common::now_nanos();
 
-  // --- 2. rollback affected writes, reverse order per record --------------
-  // All fragments of one record flow through one executor's queues, so a
-  // record's undo entries live in a single log, in execution (= sequence)
-  // order; undoing each per-record group back-to-front restores the value
-  // produced by the last unaffected writer.
-  struct undo_ref {
-    const exec_logs* log;
-    std::size_t pos;
-  };
-  std::unordered_map<std::uint64_t, std::vector<undo_ref>> per_record;
-  for (const exec_logs* log : logs) {
-    for (std::size_t i = 0; i < log->undo.size(); ++i) {
-      const auto& u = log->undo[i];
-      if (affected[u.seq]) {
-        per_record[rec_id(u.table, u.key)].push_back({log, i});
-      }
-    }
-  }
-  // Group application order is free: groups are disjoint record sets (a
-  // rec_id collision *merges* records into one group, never splits one),
-  // so rollbacks of different groups touch disjoint rows and commute.
-  // Within a group the refs keep log order, which is what matters.
-  // quecc-ok(unordered): disjoint per-record groups, rollback commutes
-  for (auto& [_, refs] : per_record) {
-    for (auto it = refs.rbegin(); it != refs.rend(); ++it) {
-      const auto& u = it->log->undo[it->pos];
-      auto& tab = db_.at(u.table);
-      switch (u.op) {
-        case txn::op_kind::update:
-          std::memcpy(tab.row(u.rid).data(),
-                      it->log->arena.data() + u.arena_offset, u.len);
-          break;
-        case txn::op_kind::insert:
-          tab.erase(u.key, storage::rid_shard(u.rid));
-          break;
-        case txn::op_kind::erase:
-          tab.index_row(u.key, u.rid);
-          break;
-        case txn::op_kind::read:
-        case txn::op_kind::scan:
-          break;
-      }
-    }
-  }
+  // --- 3. rollback affected writes, newest first per log -------------------
+  rollback(db_, logs, [&](seq_t s) { return affected_[s] != 0; });
+  const std::uint64_t t3 = common::now_nanos();
 
-  // --- 3. deterministic serial re-execution in sequence order -------------
+  // --- 4. deterministic serial re-execution in sequence order -------------
   // Re-runs that logic-abort again roll themselves back inside
   // run_txn_serially; dirty-read victims now commit with clean values.
   // Every mutation is journaled so the pass can be unwound if escalation
   // becomes necessary.
-  std::vector<proto::inplace_host::journal_entry> journal;
+  journal_.clear();
   bool abort_flipped = false;
-  {
-    proto::inplace_host host(db_, &extra_dirty_);
-    host.set_journal(&journal);
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      if (!affected[i]) continue;
-      txn::txn_desc& t = b.at(i);
-      const bool was_aborted = t.aborted();
-      t.reset_runtime();
-      const bool committed = proto::run_txn_serially(t, host);
-      if (was_aborted && committed) abort_flipped = true;
-      ++stats.reexecuted;
-    }
+  proto::inplace_host pass(db_, &extra_dirty_);
+  pass.set_journal(&journal_);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!affected_[i]) continue;
+    txn::txn_desc& t = b.at(i);
+    const bool was_aborted = t.aborted();
+    t.reset_runtime();
+    const bool committed = proto::run_txn_serially(t, pass);
+    if (was_aborted && committed) abort_flipped = true;
+    ++stats.reexecuted;
   }
-  if (!abort_flipped) return stats;
+  const std::uint64_t t4 = common::now_nanos();
+  stats.index_nanos = t1 - t0;
+  stats.taint_nanos = t2 - t1;
+  stats.rollback_nanos = t3 - t2;
+  stats.reexec_nanos = t4 - t3;
+  if (!abort_flipped) {
+    pass.retire_rolled_back();
+    return stats;
+  }
 
-  // --- 4. escalation: whole-batch deterministic re-execution ---------------
+  // --- escalation: whole-batch deterministic re-execution ------------------
   // An abort flipped into a commit: the transaction may now produce writes
-  // whose original readers were never tainted. Unwind this pass, restore
-  // the batch-start state from the complete undo logs (idempotent with the
-  // partial rollback of step 2), and replay everything serially.
+  // whose original readers were never tainted. Unwind this pass, undo the
+  // unaffected transactions' entries as step 3 undid the affected ones
+  // (together: every entry, newest first per record — the batch-start
+  // state), and replay everything serially.
   stats.full_redo = true;
-  proto::unwind_journal(db_, journal);
-
-  std::unordered_map<std::uint64_t, std::vector<undo_ref>> all_records;
-  for (const exec_logs* log : logs) {
-    for (std::size_t i = 0; i < log->undo.size(); ++i) {
-      all_records[rec_id(log->undo[i].table, log->undo[i].key)].push_back(
-          {log, i});
-    }
-  }
-  // Same argument as the per_record pass: disjoint groups, order-free.
-  // quecc-ok(unordered): disjoint per-record groups, rollback commutes
-  for (auto& [_, refs] : all_records) {
-    for (auto it = refs.rbegin(); it != refs.rend(); ++it) {
-      const auto& u = it->log->undo[it->pos];
-      auto& tab = db_.at(u.table);
-      switch (u.op) {
-        case txn::op_kind::update:
-          std::memcpy(tab.row(u.rid).data(),
-                      it->log->arena.data() + u.arena_offset, u.len);
-          break;
-        case txn::op_kind::insert:
-          tab.erase(u.key, storage::rid_shard(u.rid));
-          break;
-        case txn::op_kind::erase:
-          tab.index_row(u.key, u.rid);
-          break;
-        case txn::op_kind::read:
-        case txn::op_kind::scan:
-          break;
-      }
-    }
-  }
+  proto::unwind_journal(db_, journal_);
+  rollback(db_, logs, [&](seq_t s) { return affected_[s] == 0; });
+  const std::uint64_t t5 = common::now_nanos();
 
   extra_dirty_.clear();
   proto::inplace_host host(db_, &extra_dirty_);
@@ -290,7 +335,9 @@ recovery_stats spec_manager::recover(txn::batch& b,
     tp->reset_runtime();
     proto::run_txn_serially(*tp, host);
   }
-  stats.reexecuted = static_cast<std::uint32_t>(b.size());
+  stats.reexecuted = static_cast<std::uint32_t>(n);
+  stats.rollback_nanos += t5 - t4;
+  stats.reexec_nanos += common::now_nanos() - t5;
   return stats;
 }
 

@@ -437,10 +437,22 @@ recovery_stats stage_driver::batch_epilogue(txn::batch& b,
     static const obs::counter cascades("spec.cascade_aborts_total");
     static const obs::counter reexec("spec.reexecutions_total");
     static const obs::counter redo("spec.full_redo_total");
+    static const obs::counter split("spec.split_records_total");
     recoveries.inc();
     cascades.inc(rec.cascades);
     reexec.inc(rec.reexecuted);
     if (rec.full_redo) redo.inc();
+    split.inc(rec.split_records);
+    if (rec.logic_aborts > 0) {  // abort-free batches time nothing
+      static const obs::histogram index_h("spec.index_nanos");
+      static const obs::histogram taint_h("spec.taint_nanos");
+      static const obs::histogram rollback_h("spec.rollback_nanos");
+      static const obs::histogram reexec_h("spec.reexec_nanos");
+      index_h.record_nanos(rec.index_nanos);
+      taint_h.record_nanos(rec.taint_nanos);
+      rollback_h.record_nanos(rec.rollback_nanos);
+      reexec_h.record_nanos(rec.reexec_nanos);
+    }
   }
 
   for (auto& t : b) {

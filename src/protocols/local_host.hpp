@@ -22,12 +22,38 @@ namespace quecc::proto {
 
 class inplace_host final : public txn::frag_host {
  public:
+  /// One mutation, reversed by unwinding.
   struct journal_entry {
     table_id_t table;
     key_t key;
     storage::row_id_t rid;
     txn::op_kind op;
-    std::vector<std::byte> before;
+    /// Updates only: offset of the row's before-image (one full row) in
+    /// the owning journal's `bytes`.
+    std::size_t before = 0;
+    /// Inserts only: the entry allocated `rid`, so unwinding it frees the
+    /// slot. A rollback's re-link of an erased key is journaled as an
+    /// insert too, but its slot stays allocated (erased slots are never
+    /// reused).
+    bool allocated = false;
+  };
+
+  /// Mutations in order, with every before-image in one byte arena so
+  /// recording allocates nothing once capacity is reached.
+  struct journal {
+    std::vector<journal_entry> entries;
+    std::vector<std::byte> bytes;
+
+    void add(table_id_t table, key_t key, storage::row_id_t rid,
+             txn::op_kind op, std::span<const std::byte> image = {},
+             bool allocated = false) {
+      entries.push_back({table, key, rid, op, bytes.size(), allocated});
+      bytes.insert(bytes.end(), image.begin(), image.end());
+    }
+    void clear() noexcept {
+      entries.clear();
+      bytes.clear();
+    }
   };
 
   explicit inplace_host(
@@ -39,36 +65,50 @@ class inplace_host final : public txn::frag_host {
   /// cleared by begin_txn(). Reverse-applying the journal restores the
   /// database to its state when the journal was attached — the speculation
   /// manager uses this to unwind a recovery pass that needs escalation.
-  void set_journal(std::vector<journal_entry>* j) noexcept { journal_ = j; }
+  void set_journal(journal* j) noexcept { journal_ = j; }
+
+  /// Free the slots of inserts rolled back while a journal was attached,
+  /// in rollback order. Until then they stay allocated: unwinding the
+  /// journal re-links each key to its slot before unwinding the insert,
+  /// which frees it once.
+  void retire_rolled_back() {
+    for (const auto& [table, rid] : rolled_back_) {
+      db_.at(table).retire_unindexed(rid);
+    }
+    rolled_back_.clear();
+  }
 
   void begin_txn() { undo_.clear(); }
 
-  /// Undo every effect since begin_txn(), newest first.
+  /// Undo every effect since begin_txn(), newest first. A rolled-back
+  /// insert frees its slot (deferred to retire_rolled_back() while a
+  /// journal is attached).
   void rollback_txn() {
-    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+    for (auto it = undo_.entries.rbegin(); it != undo_.entries.rend(); ++it) {
       auto& tab = db_.at(it->table);
       switch (it->op) {
         case txn::op_kind::update: {
           auto row = tab.row(it->rid);
           if (journal_ != nullptr) {
-            journal_->push_back({it->table, it->key, it->rid,
-                                 txn::op_kind::update,
-                                 {row.begin(), row.end()}});
+            journal_->add(it->table, it->key, it->rid, txn::op_kind::update,
+                          row);
           }
-          std::memcpy(row.data(), it->before.data(), it->before.size());
+          std::memcpy(row.data(), undo_.bytes.data() + it->before,
+                      row.size());
           break;
         }
         case txn::op_kind::insert:
-          if (journal_ != nullptr) {
-            journal_->push_back({it->table, it->key, it->rid,
-                                 txn::op_kind::erase, {}});
-          }
           tab.erase(it->key, storage::rid_shard(it->rid));
+          if (journal_ != nullptr) {
+            journal_->add(it->table, it->key, it->rid, txn::op_kind::erase);
+            rolled_back_.emplace_back(it->table, it->rid);
+          } else {
+            tab.retire_unindexed(it->rid);
+          }
           break;
         case txn::op_kind::erase:
           if (journal_ != nullptr) {
-            journal_->push_back({it->table, it->key, it->rid,
-                                 txn::op_kind::insert, {}});
+            journal_->add(it->table, it->key, it->rid, txn::op_kind::insert);
           }
           tab.index_row(it->key, it->rid);
           break;
@@ -95,9 +135,10 @@ class inplace_host final : public txn::frag_host {
     const auto rid = tab.lookup_local(f.key, f.part);
     if (rid == storage::kNoRow) return {};
     auto row = tab.row(rid);
-    undo_.push_back({f.table, f.key, rid, txn::op_kind::update,
-                     {row.begin(), row.end()}});
-    if (journal_ != nullptr) journal_->push_back(undo_.back());
+    undo_.add(f.table, f.key, rid, txn::op_kind::update, row);
+    if (journal_ != nullptr) {
+      journal_->add(f.table, f.key, rid, txn::op_kind::update, row);
+    }
     if (dirty_ != nullptr) dirty_->emplace_back(f.table, rid);
     return row;
   }
@@ -112,8 +153,10 @@ class inplace_host final : public txn::frag_host {
       tab.retire_unindexed(rid);  // duplicate key: recycle the slot
       return {};
     }
-    undo_.push_back({f.table, f.key, rid, txn::op_kind::insert, {}});
-    if (journal_ != nullptr) journal_->push_back(undo_.back());
+    undo_.add(f.table, f.key, rid, txn::op_kind::insert, {}, true);
+    if (journal_ != nullptr) {
+      journal_->add(f.table, f.key, rid, txn::op_kind::insert, {}, true);
+    }
     if (dirty_ != nullptr) dirty_->emplace_back(f.table, rid);
     return row;
   }
@@ -123,8 +166,10 @@ class inplace_host final : public txn::frag_host {
     const auto rid = tab.lookup_local(f.key, f.part);
     if (rid == storage::kNoRow) return false;
     if (!tab.erase(f.key, f.part)) return false;
-    undo_.push_back({f.table, f.key, rid, txn::op_kind::erase, {}});
-    if (journal_ != nullptr) journal_->push_back(undo_.back());
+    undo_.add(f.table, f.key, rid, txn::op_kind::erase);
+    if (journal_ != nullptr) {
+      journal_->add(f.table, f.key, rid, txn::op_kind::erase);
+    }
     return true;
   }
 
@@ -165,23 +210,30 @@ class inplace_host final : public txn::frag_host {
  private:
   storage::database& db_;
   std::vector<std::pair<table_id_t, storage::row_id_t>>* dirty_;
-  std::vector<journal_entry> undo_;  ///< per-txn, cleared by begin_txn
-  std::vector<journal_entry>* journal_ = nullptr;  ///< external, persistent
+  journal undo_;                 ///< per-txn, cleared by begin_txn
+  journal* journal_ = nullptr;  ///< external, persistent
+  /// Slots of journaled insert rollbacks, awaiting retire_rolled_back().
+  std::vector<std::pair<table_id_t, storage::row_id_t>> rolled_back_;
 };
 
 /// Reverse-apply a journal (newest first), restoring the database to its
-/// state when the journal was attached.
+/// state when the journal was attached. Unwound inserts free the slots
+/// they allocated, in unwind order; the host's deferred rollback slots
+/// must then be dropped, not retired (unwinding re-linked their keys and
+/// then unwound the inserts, which freed them here).
 inline void unwind_journal(storage::database& db,
-                           const std::vector<inplace_host::journal_entry>& j) {
-  for (auto it = j.rbegin(); it != j.rend(); ++it) {
+                           const inplace_host::journal& j) {
+  for (auto it = j.entries.rbegin(); it != j.entries.rend(); ++it) {
     auto& tab = db.at(it->table);
     switch (it->op) {
-      case txn::op_kind::update:
-        std::memcpy(tab.row(it->rid).data(), it->before.data(),
-                    it->before.size());
+      case txn::op_kind::update: {
+        const auto row = tab.row(it->rid);
+        std::memcpy(row.data(), j.bytes.data() + it->before, row.size());
         break;
+      }
       case txn::op_kind::insert:
         tab.erase(it->key, storage::rid_shard(it->rid));
+        if (it->allocated) tab.retire_unindexed(it->rid);
         break;
       case txn::op_kind::erase:
         tab.index_row(it->key, it->rid);

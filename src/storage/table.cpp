@@ -73,10 +73,11 @@ row_id_t table::allocate_row(part_id_t part) {
 
 void table::retire_unindexed(row_id_t rid) {
   shard& sh = *shards_[rid_shard(rid)];
-  // The slot was never indexed, so no other thread references it; reset
-  // the protocol metadata a previous occupant may have left behind.
+  // No key maps to the slot, so no other thread references it; reset the
+  // bytes and protocol metadata a previous occupant may have left behind.
+  std::memset(sh.slots.get() + rid_slot(rid) * row_size_, 0, row_size_);
   row_meta& m = sh.meta[rid_slot(rid)];
-  // relaxed: unreferenced slot (never indexed); publication to the next
+  // relaxed: unreferenced slot (no key maps to it); publication to the next
   // owner happens through the free_lock + free_count release below.
   m.word1.store(0, std::memory_order_relaxed);
   m.word2.store(0, std::memory_order_relaxed);

@@ -121,8 +121,9 @@ class table {
   bool replicated() const noexcept { return replicated_; }
 
   /// Slots currently in use (live + erase-retired); recycled slots
-  /// (duplicate-key insert failures) are not counted, so this tracks
-  /// live_rows() instead of drifting away from it under duplicate storms.
+  /// (duplicate-key insert failures, rolled-back inserts) are not counted,
+  /// so this tracks live_rows() instead of drifting away from it under
+  /// duplicate storms or abort-heavy speculation.
   std::size_t allocated_rows() const noexcept;
   std::size_t allocated_rows_in(part_id_t s) const noexcept {
     const shard& sh = *shards_[s];
@@ -183,9 +184,13 @@ class table {
   /// without indexing it yet.
   row_id_t allocate_row(part_id_t part = 0);
 
-  /// Return an allocated-but-never-indexed slot (duplicate-key insert
-  /// failure) to its shard's free list and reset its protocol metadata.
-  /// Only valid for slots no other thread can reference.
+  /// Return a slot no key maps to — a duplicate-key insert failure, or a
+  /// rolled-back insert whose key was already unlinked — to its shard's
+  /// free list, zeroing its bytes and protocol metadata. Zeroed bytes keep
+  /// a rolled-back row out of the read-committed image: the commit
+  /// epilogue publishes the slot's (now blank) bytes, exactly what a slot
+  /// that was never used holds. Only valid for slots no other thread can
+  /// reference.
   void retire_unindexed(row_id_t rid);
 
   /// Allocate + copy payload + index into `part`'s home shard. Returns
@@ -201,9 +206,10 @@ class table {
     return shards_[rid_shard(rid)]->index->insert(key, rid);
   }
 
-  /// Unlink a key from `part`'s home shard (slot is retired, not reused).
-  /// Returns false if absent. Rollback paths without a partition at hand
-  /// pass `rid_shard(rid)` of the row they are unlinking.
+  /// Unlink a key from `part`'s home shard (slot is retired, not reused;
+  /// rollback of an insert follows up with retire_unindexed). Returns false
+  /// if absent. Rollback paths without a partition at hand pass
+  /// `rid_shard(rid)` of the row they are unlinking.
   bool erase(key_t key, part_id_t part = 0) {
     return shards_[home_shard(part)]->index->erase(key);
   }
