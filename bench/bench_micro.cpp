@@ -77,7 +77,7 @@ void BM_OrderedLookup(benchmark::State& state) {
   auto& idx = ordered_bench_index();
   common::rng r(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(idx.lookup_unlocked(r.next_below(1 << 16)));
+    benchmark::DoNotOptimize(idx.lookup(r.next_below(1 << 16)));
   }
 }
 BENCHMARK(BM_OrderedLookup);
@@ -102,11 +102,9 @@ void BM_OrderedScan(benchmark::State& state) {
 }
 BENCHMARK(BM_OrderedScan)->Arg(64)->Arg(1024);
 
-// --- sharded-storage lookup paths ------------------------------------------
-// Same 8-arena table, two index paths: the stripe-locked lookup the
-// cross-partition baselines use vs the lock-free partition-local lookup
-// the planner/executors use. The delta is the per-lookup cost of the
-// stripe lock the queue-oriented planning already made unnecessary.
+// --- sharded-storage lookup ------------------------------------------------
+// 8-arena table: the home-shard routing on top of the lock-free index
+// lookup every engine uses.
 
 storage::database& sharded_lookup_db() {
   static storage::database db = [] {
@@ -122,7 +120,7 @@ storage::database& sharded_lookup_db() {
   return db;
 }
 
-void BM_StripedLookup(benchmark::State& state) {
+void BM_ShardedLookup(benchmark::State& state) {
   auto& t = sharded_lookup_db().at(0);
   common::rng r(1);
   for (auto _ : state) {
@@ -130,18 +128,7 @@ void BM_StripedLookup(benchmark::State& state) {
     benchmark::DoNotOptimize(t.lookup(k, static_cast<part_id_t>(k % 8)));
   }
 }
-BENCHMARK(BM_StripedLookup);
-
-void BM_PartitionLocalLookup(benchmark::State& state) {
-  auto& t = sharded_lookup_db().at(0);
-  common::rng r(1);
-  for (auto _ : state) {
-    const auto k = r.next_below(1 << 16);
-    benchmark::DoNotOptimize(
-        t.lookup_local(k, static_cast<part_id_t>(k % 8)));
-  }
-}
-BENCHMARK(BM_PartitionLocalLookup);
+BENCHMARK(BM_ShardedLookup);
 
 void BM_TableRowAccess(benchmark::State& state) {
   storage::database db;

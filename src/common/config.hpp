@@ -129,7 +129,6 @@ struct config {
   // --- distributed simulation --------------------------------------------
   std::uint16_t nodes = 1;                ///< simulated node count
   std::uint32_t net_latency_micros = 50;  ///< one-way message latency
-  std::uint32_t seq_epoch_micros = 200;   ///< Calvin sequencer epoch length
 
   // --- baseline-specific knobs --------------------------------------------
   /// H-Store: coordination cost charged per multi-partition transaction

@@ -108,7 +108,7 @@ storage::row_id_t executor::resolve(const txn::fragment& f) const noexcept {
   if (f.rid != storage::kNoRow) return f.rid;
   // Partition-local path: route to the fragment's home arena, no index
   // lock (hash_index lock-free reader contract).
-  return db_.at(f.table).lookup_local(f.key, f.part);
+  return db_.at(f.table).lookup(f.key, f.part);
 }
 
 std::span<const std::byte> executor::read_row(const txn::fragment& f,

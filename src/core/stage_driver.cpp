@@ -85,7 +85,7 @@ void batch_slot::resolve_read_queues(storage::database& db) {
     for (const frag_entry& e : *q) {
       if (e.f->kind != txn::op_kind::insert) {
         // Pre-execution quiescent point: partition-local, lock-free.
-        e.f->rid = db.at(e.f->table).lookup_local(e.f->key, e.f->part);
+        e.f->rid = db.at(e.f->table).lookup(e.f->key, e.f->part);
       }
     }
   }

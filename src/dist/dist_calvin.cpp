@@ -1,6 +1,5 @@
 #include "dist/dist_calvin.hpp"
 
-#include <chrono>
 #include <tuple>
 
 #include "common/thread_util.hpp"
@@ -8,11 +7,12 @@
 
 namespace quecc::dist {
 
-
 dist_calvin_engine::dist_calvin_engine(storage::database& db,
-                                       const common::config& cfg)
+                                       const common::config& cfg,
+                                       const char* display_name)
     : db_(db),
       cfg_(cfg),
+      display_name_(display_name),
       pl_{cfg.nodes, cfg.executor_threads, cfg.planner_threads},
       net_(cfg.nodes, cfg.net_latency_micros),
       locks_(cfg.nodes),
@@ -21,17 +21,12 @@ dist_calvin_engine::dist_calvin_engine(storage::database& db,
   cfg_.validate();
 }
 
-std::uint64_t dist_calvin_engine::rec_of(table_id_t table,
-                                         key_t key) noexcept {
-  return record_hash(table, key);
-}
-
 void dist_calvin_engine::lock_set(
     const txn::txn_desc& t,
     std::vector<std::tuple<net::node_id_t, std::uint64_t, bool>>& out) const {
   out.clear();
   for (const auto& f : t.frags) {
-    const std::uint64_t rec = rec_of(f.table, f.key);
+    const std::uint64_t rec = record_hash(f.table, f.key);
     const net::node_id_t node = pl_.node_of_part(f.part);
     const bool exclusive = f.updates_database();
     bool found = false;
@@ -52,7 +47,7 @@ void dist_calvin_engine::ensure_pool() {
       static_cast<unsigned>(cfg_.nodes) * cfg_.worker_threads;
   worker_metrics_.resize(workers);
   pool_ = std::make_unique<common::batch_pool>(
-      workers, [this](unsigned w) { worker_job(w); }, "dcalvin",
+      workers, [this](unsigned w) { worker_job(w); }, display_name_,
       cfg_.pin_threads);
 }
 

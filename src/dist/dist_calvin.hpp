@@ -1,10 +1,15 @@
-// Distributed Calvin over the simulated cluster (Thomson et al., SIGMOD'12;
-// the deterministic ordered execution of Saad et al.'s "Processing
-// Transactions in a Predefined Order" follows the same contract): a
-// sequencer replicates the batch input to every node, each node's
+// Calvin deterministic locking (Thomson et al., SIGMOD'12; the deterministic
+// ordered execution of Saad et al.'s "Processing Transactions in a
+// Predefined Order" follows the same contract) over the simulated cluster.
+// This one engine serves both Table 2 baselines: "dist-calvin" runs
+// cfg.nodes nodes, and "calvin" is the same engine at one node.
+//
+// A sequencer replicates the batch input to every node, each node's
 // deterministic lock scheduler walks the replicated sequence acquiring
-// locks for locally-homed records in sequence order, and workers execute
-// transactions once every lock is granted.
+// locks for locally-homed records in sequence order (strictly FIFO grants
+// per record, so execution is equivalent to sequence order), and workers
+// execute transactions once every lock is granted — thread-to-transaction
+// assignment, the paper's Section 5 contrast with thread-to-queue.
 //
 // Unlike the queue-oriented engine, communication scales with the number of
 // *distributed transactions*: a transaction touching k > 1 nodes pays
@@ -18,9 +23,18 @@
 // share one process and one storage engine, so a single worker executes
 // the whole transaction after the remote-read stall, and the N per-node
 // schedulers — which would each walk the identical replicated sequence —
-// are folded into one pass in
-// sequence order over per-node lock tables; both foldings preserve the
-// protocol's determinism and its message/latency bill.
+// are folded into one pass in sequence order over per-node lock tables,
+// run by the run_batch thread; both foldings preserve the protocol's
+// determinism and its message/latency bill. At one node the sequencer
+// broadcast, the remote-read round and the release notifications all
+// vanish (no message is sent), and what remains is centralized Calvin:
+// one single-threaded lock scheduler — Calvin's well-known bottleneck and
+// the effect the single-node comparison measures.
+//
+// Every node's lock table has 64 stripes. The scheduler thread contends
+// with every worker releasing locks on that node, so a single node needs
+// the full 64 to keep the release path from serializing on a stripe latch
+// (16 stripes measured ~5% slower on single-node YCSB, 4 workers, 4 CPUs).
 #pragma once
 
 #include <array>
@@ -42,10 +56,12 @@ namespace quecc::dist {
 class dist_calvin_engine final : public proto::engine {
  public:
   /// `cfg.worker_threads` is per node: the cluster runs
-  /// cfg.nodes * cfg.worker_threads Calvin workers.
-  dist_calvin_engine(storage::database& db, const common::config& cfg);
+  /// cfg.nodes * cfg.worker_threads Calvin workers. `display_name` is
+  /// name() and the worker threads' name prefix.
+  dist_calvin_engine(storage::database& db, const common::config& cfg,
+                     const char* display_name);
 
-  const char* name() const noexcept override { return "dist-calvin"; }
+  const char* name() const noexcept override { return display_name_; }
   void run_batch(txn::batch& b, common::run_metrics& m) override;
 
   const placement& cluster() const noexcept { return pl_; }
@@ -64,7 +80,7 @@ class dist_calvin_engine final : public proto::engine {
     common::spinlock latch;
     std::unordered_map<std::uint64_t, lock_entry> locks GUARDED_BY(latch);
   };
-  static constexpr std::size_t kStripesPerNode = 16;
+  static constexpr std::size_t kStripesPerNode = 64;
   /// One lock table (kStripesPerNode stripes) per node.
   struct node_locks {
     std::array<stripe, kStripesPerNode> stripes;
@@ -100,7 +116,6 @@ class dist_calvin_engine final : public proto::engine {
   /// transaction is single-node.
   void collect_remote_reads(net::node_id_t home, seq_t seq);
 
-  static std::uint64_t rec_of(table_id_t table, key_t key) noexcept;
   stripe& stripe_of(net::node_id_t node, std::uint64_t rec) noexcept {
     return locks_[node].stripes[rec % kStripesPerNode];
   }
@@ -112,6 +127,7 @@ class dist_calvin_engine final : public proto::engine {
 
   storage::database& db_;
   common::config cfg_;
+  const char* display_name_;
   placement pl_;
   net::network net_;
   std::unique_ptr<common::batch_pool> pool_;

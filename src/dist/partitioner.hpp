@@ -61,24 +61,6 @@ struct placement {
   worker_id_t local_executor(worker_id_t e) const noexcept {
     return static_cast<worker_id_t>(e % executors_per_node);
   }
-
-  // --- storage arenas ------------------------------------------------------
-  // storage::table materializes one row arena (slab + meta + index shard)
-  // per partition, addressed by the high bits of every row id
-  // (storage::rid_shard). Placement therefore maps partitions to *arenas*,
-  // not just to queues: NUMA-aware placement pins arena_of_part(p)'s
-  // memory on the socket running node_of_part(p)'s executors.
-
-  /// Arena backing partition `p` in every partition-sharded table —
-  /// identity, because tables create one arena per partition
-  /// (table::home_shard collapses single-shard/replicated tables to 0).
-  part_id_t arena_of_part(part_id_t p) const noexcept { return p; }
-
-  /// True when node `n` hosts partition `p`'s arena: the predicate a NUMA
-  /// pinning pass uses to decide which arenas to bind to `n`'s socket.
-  bool node_hosts_arena(net::node_id_t n, part_id_t p) const noexcept {
-    return node_of_part(p) == n;
-  }
 };
 
 }  // namespace quecc::dist

@@ -5,7 +5,6 @@
 #include "core/engine.hpp"
 #include "dist/dist_calvin.hpp"
 #include "dist/dist_quecc.hpp"
-#include "protocols/calvin.hpp"
 #include "protocols/hstore.hpp"
 #include "protocols/mvto.hpp"
 #include "protocols/serial.hpp"
@@ -30,12 +29,20 @@ std::unique_ptr<engine> make_engine(const std::string& name,
   if (name == "tictoc") return std::make_unique<tictoc_engine>(db, cfg);
   if (name == "mvto") return std::make_unique<mvto_engine>(db, cfg);
   if (name == "hstore") return std::make_unique<hstore_engine>(db, cfg);
-  if (name == "calvin") return std::make_unique<calvin_engine>(db, cfg);
+  if (name == "calvin") {
+    // Centralized Calvin is the distributed engine at one node, whatever
+    // cfg.nodes says.
+    common::config one_node = cfg;
+    one_node.nodes = 1;
+    return std::make_unique<dist::dist_calvin_engine>(db, one_node,
+                                                      "calvin");
+  }
   if (name == "dist-quecc") {
     return std::make_unique<dist::dist_quecc_engine>(db, cfg);
   }
   if (name == "dist-calvin") {
-    return std::make_unique<dist::dist_calvin_engine>(db, cfg);
+    return std::make_unique<dist::dist_calvin_engine>(db, cfg,
+                                                      "dist-calvin");
   }
   throw std::invalid_argument("unknown engine: " + name);
 }

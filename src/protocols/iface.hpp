@@ -80,6 +80,8 @@ class engine {
 ///   "mvto", "hstore", "calvin".
 /// Distributed (simulated cluster, cfg.nodes nodes):
 ///   "dist-quecc", "dist-calvin".
+/// "calvin" and "dist-calvin" are one engine (dist::dist_calvin_engine):
+/// "calvin" runs it at one node, ignoring cfg.nodes.
 /// Throws std::invalid_argument for unknown names.
 std::unique_ptr<engine> make_engine(const std::string& name,
                                     storage::database& db,

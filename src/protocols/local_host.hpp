@@ -124,7 +124,7 @@ class inplace_host final : public txn::frag_host {
                                                  txn::txn_desc&) override {
     // Partition-local: home arena, no index lock (frag_host contract —
     // conflicting ops on a key are already serialized upstream).
-    const auto rid = db_.at(f.table).lookup_local(f.key, f.part);
+    const auto rid = db_.at(f.table).lookup(f.key, f.part);
     if (rid == storage::kNoRow) return {};
     return db_.at(f.table).row(rid);
   }
@@ -132,7 +132,7 @@ class inplace_host final : public txn::frag_host {
   EXEC_PHASE std::span<std::byte> update_row(const txn::fragment& f,
                                              txn::txn_desc&) override {
     auto& tab = db_.at(f.table);
-    const auto rid = tab.lookup_local(f.key, f.part);
+    const auto rid = tab.lookup(f.key, f.part);
     if (rid == storage::kNoRow) return {};
     auto row = tab.row(rid);
     undo_.add(f.table, f.key, rid, txn::op_kind::update, row);
@@ -163,7 +163,7 @@ class inplace_host final : public txn::frag_host {
 
   EXEC_PHASE bool erase_row(const txn::fragment& f, txn::txn_desc&) override {
     auto& tab = db_.at(f.table);
-    const auto rid = tab.lookup_local(f.key, f.part);
+    const auto rid = tab.lookup(f.key, f.part);
     if (rid == storage::kNoRow) return false;
     if (!tab.erase(f.key, f.part)) return false;
     undo_.add(f.table, f.key, rid, txn::op_kind::erase);

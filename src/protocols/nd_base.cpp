@@ -1,8 +1,66 @@
 #include "protocols/nd_base.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstring>
+
 #include "txn/procedure.hpp"
 
 namespace quecc::proto {
+
+namespace {
+
+/// The one copy loop behind seqlock_load/seqlock_store: `row` is the
+/// shared side (atomic_ref accesses), `buf` the private one.
+template <bool kStore>
+void seqlock_copy(std::byte* row, std::byte* buf, std::size_t n) noexcept {
+  // relaxed: the caller's version word orders the copy (acquire/release
+  // around it); these accesses only have to be atomic, not ordered.
+  constexpr auto relaxed = std::memory_order_relaxed;
+  const auto copy_byte = [&](std::size_t i) {
+    std::atomic_ref<std::byte> shared(row[i]);
+    if constexpr (kStore) {
+      shared.store(buf[i], relaxed);
+    } else {
+      buf[i] = shared.load(relaxed);
+    }
+  };
+  const auto misalign = reinterpret_cast<std::uintptr_t>(row) % 8;
+  std::size_t i = 0;
+  for (const std::size_t head = std::min(n, (8 - misalign) % 8); i < head;
+       ++i) {
+    copy_byte(i);
+  }
+  for (; i + 8 <= n; i += 8) {
+    std::atomic_ref<std::uint64_t> shared(
+        *reinterpret_cast<std::uint64_t*>(row + i));
+    std::uint64_t word;
+    if constexpr (kStore) {
+      std::memcpy(&word, buf + i, 8);
+      shared.store(word, relaxed);
+    } else {
+      word = shared.load(relaxed);
+      std::memcpy(buf + i, &word, 8);
+    }
+  }
+  for (; i < n; ++i) copy_byte(i);
+}
+
+}  // namespace
+
+void seqlock_load(std::span<std::byte> out,
+                  std::span<const std::byte> row) noexcept {
+  // const_cast: a load-only atomic_ref still needs a non-const referent.
+  seqlock_copy<false>(const_cast<std::byte*>(row.data()), out.data(),
+                      row.size());
+}
+
+void seqlock_store(std::span<std::byte> row,
+                   std::span<const std::byte> in) noexcept {
+  seqlock_copy<true>(row.data(), const_cast<std::byte*>(in.data()),
+                     row.size());
+}
 
 nd_engine_base::nd_engine_base(storage::database& db,
                                const common::config& cfg,

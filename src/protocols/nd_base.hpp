@@ -13,6 +13,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/batch_pool.hpp"
@@ -23,6 +24,19 @@
 #include "txn/procedure.hpp"
 
 namespace quecc::proto {
+
+/// Seqlock row copies for the optimistic baselines (Silo, TicToc). A
+/// committer installs into a row while readers may be copying it; the
+/// reader's version-word recheck discards any copy that overlapped an
+/// install. Both sides access the row bytes with relaxed std::atomic_ref
+/// loads/stores, so that overlap is not a data race. Accesses are chunked
+/// by the row's address (bytes up to 8-byte alignment, then words, then
+/// bytes), so a reader and an installer of one row issue the same sizes.
+/// `out`/`in` must be exactly as large as `row`.
+void seqlock_load(std::span<std::byte> out,
+                  std::span<const std::byte> row) noexcept;
+void seqlock_store(std::span<std::byte> row,
+                   std::span<const std::byte> in) noexcept;
 
 /// Per-worker, per-protocol execution state.
 class worker_ctx {

@@ -77,8 +77,7 @@ class silo_ctx final : public worker_ctx, public txn::frag_host {
       auto& tab = db_.at(w.table);
       switch (w.op) {
         case txn::op_kind::update: {
-          auto row = tab.row(w.rid);
-          std::memcpy(row.data(), w.buf.data(), w.buf.size());
+          seqlock_store(tab.row(w.rid), w.buf);
           tab.meta(w.rid).word1.store(commit_tid, std::memory_order_release);
           w.locked = false;
           break;
@@ -210,7 +209,7 @@ class silo_ctx final : public worker_ctx, public txn::frag_host {
     while (true) {
       const std::uint64_t v1 = word.load(std::memory_order_acquire);
       if ((v1 & kLockBit) == 0) {
-        std::memcpy(out.data(), row.data(), row.size());
+        seqlock_load(out, row);
         std::atomic_thread_fence(std::memory_order_acquire);
         const std::uint64_t v2 = word.load(std::memory_order_acquire);
         if (v1 == v2) return v1;

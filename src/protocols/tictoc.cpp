@@ -82,7 +82,7 @@ class tictoc_ctx final : public worker_ctx, public txn::frag_host {
       auto& tab = db_.at(w.table);
       switch (w.op) {
         case txn::op_kind::update: {
-          std::memcpy(tab.row(w.rid).data(), w.buf.data(), w.buf.size());
+          seqlock_store(tab.row(w.rid), w.buf);
           // relaxed: the release store of word1 (the wts/lock word readers
           // validate against) below publishes rts alongside the row bytes.
           tab.meta(w.rid).word2.store(commit_ts, std::memory_order_relaxed);
@@ -223,7 +223,7 @@ class tictoc_ctx final : public worker_ctx, public txn::frag_host {
       const std::uint64_t v1 = meta.word1.load(std::memory_order_acquire);
       if ((v1 & kLockBit) == 0) {
         const std::uint64_t rts = meta.word2.load(std::memory_order_acquire);
-        std::memcpy(out.data(), row.data(), row.size());
+        seqlock_load(out, row);
         std::atomic_thread_fence(std::memory_order_acquire);
         const std::uint64_t v2 = meta.word1.load(std::memory_order_acquire);
         if (v1 == v2) return {v1 & kWtsMask, rts};

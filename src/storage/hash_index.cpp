@@ -48,11 +48,11 @@ hash_index::bucket& hash_index::bucket_for(key_t key) noexcept {
   return buckets_[mix(key) & mask_];
 }
 
-common::spinlock& hash_index::lock_for(key_t key) const noexcept {
+common::spinlock& hash_index::lock_for(key_t key) noexcept {
   return locks_[mix(key) & lock_mask_];
 }
 
-row_id_t hash_index::find(key_t key) const noexcept {
+row_id_t hash_index::lookup(key_t key) const noexcept {
   for (const node* n = &bucket_for(key).head; n != nullptr;
        n = n->next.load(std::memory_order_acquire)) {
     const std::uint32_t c = n->count.load(std::memory_order_acquire);
@@ -63,15 +63,6 @@ row_id_t hash_index::find(key_t key) const noexcept {
     }
   }
   return kNoRow;
-}
-
-row_id_t hash_index::lookup(key_t key) const noexcept {
-  common::spin_guard guard(lock_for(key));
-  return find(key);
-}
-
-row_id_t hash_index::lookup_unlocked(key_t key) const noexcept {
-  return find(key);
 }
 
 bool hash_index::insert(key_t key, row_id_t row) {

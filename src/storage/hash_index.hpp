@@ -7,18 +7,16 @@
 //    critical sections (CP.43); stripes keep unrelated keys apart. This is
 //    the path concurrent loaders and the cross-partition baselines
 //    (2PL/Silo/TicToc/MVTO) use.
-//  * Readers never need a lock. `lookup_unlocked` walks the node chain
+//  * Readers never need a lock. `lookup` walks the node chain
 //    with acquire loads; writers publish a new entry by storing the slot
 //    first and release-incrementing the node's entry count (or
 //    release-linking a fresh node), so a reader either sees a fully
 //    written entry or none at all. Entries are never moved or deleted —
 //    erase tombstones the row id in place (slot retired, reclaimed only by
 //    a re-insert of the same key) — so a lock-free walk can never observe
-//    a torn or recycled slot. The deterministic engines rely on this:
-//    partition-local lookups (executor resolve, RC read-queue resolve)
-//    take no index lock at all, the paper's "no per-record concurrency
-//    control on the execution path" made literal. `lookup` (stripe-locked)
-//    remains for callers without partition affinity.
+//    a torn or recycled slot. So no lookup takes an index lock — the
+//    deterministic engines' executor resolve is the paper's "no
+//    per-record concurrency control on the execution path" made literal.
 //
 // Size guarantee: `size()` reads a single atomic counter maintained by
 // insert/erase, so it is O(1), exact at quiescent points, and safe (a
@@ -46,15 +44,9 @@ class hash_index final : public index_backend {
 
   index_kind kind() const noexcept override { return index_kind::hash; }
 
-  /// Stripe-locked lookup; returns kNoRow when absent (including
-  /// tombstoned keys). For callers without partition affinity.
+  /// Lock-free lookup (see header comment); returns kNoRow when absent
+  /// (including tombstoned keys).
   row_id_t lookup(key_t key) const noexcept override;
-
-  /// Lock-free lookup (see header comment): safe concurrently with
-  /// writers, takes no lock of any kind. The partition-local hot path.
-  /// EXCLUDES is deliberately absent: holding a stripe is *allowed* (the
-  /// locked lookup is just this plus a stripe), it is simply unnecessary.
-  row_id_t lookup_unlocked(key_t key) const noexcept override;
 
   /// Insert; returns false when the key already exists (live). Re-inserting
   /// a tombstoned key reclaims its slot.
@@ -128,12 +120,7 @@ class hash_index final : public index_backend {
   static std::uint64_t mix(key_t key) noexcept;
   const bucket& bucket_for(key_t key) const noexcept;
   bucket& bucket_for(key_t key) noexcept;
-  common::spinlock& lock_for(key_t key) const noexcept;
-
-  /// Chain walk shared by both lookup flavors; memory order of the loads
-  /// is acquire so the lock-free caller is safe (harmless overkill under
-  /// the stripe lock).
-  row_id_t find(key_t key) const noexcept;
+  common::spinlock& lock_for(key_t key) noexcept;
 
   // The stripe array is indexed dynamically (lock_for(key)), which Clang
   // TSA cannot track as a capability expression; the discipline — writers
@@ -141,7 +128,7 @@ class hash_index final : public index_backend {
   // release/acquire, entries are tombstoned in place, never freed) — is
   // enforced by TSAN and documented in the header comment instead.
   std::vector<bucket> buckets_;
-  mutable std::vector<common::spinlock> locks_;
+  std::vector<common::spinlock> locks_;
   std::atomic<std::size_t> live_{0};
   std::uint64_t mask_ = 0;
   std::uint64_t lock_mask_ = 0;

@@ -9,9 +9,9 @@
 //  * `ordered_index` — a deterministic skip list that additionally supports
 //    in-order range visits (`visit_range`), unlocking scan fragments.
 //
-// Both obey the same concurrency contract the deterministic engines rely
-// on: `lookup_unlocked` and the visit functions are lock-free and safe
-// against concurrent writers (entries are published with release/acquire
+// Both obey the same concurrency contract every engine relies on: `lookup`
+// and the visit functions are lock-free and safe against concurrent
+// writers (entries are published with release/acquire
 // and tombstoned in place, never unlinked or freed while the index lives),
 // while insert/erase serialize writers internally. The backend is chosen
 // per table via `schema::with_index` and recorded in the catalog.
@@ -50,12 +50,8 @@ class index_backend {
   virtual index_kind kind() const noexcept = 0;
 
   /// Point lookup; returns kNoRow when absent (including tombstoned keys).
-  /// Safe for callers without partition affinity.
+  /// Lock-free: safe concurrently with writers, takes no lock of any kind.
   virtual row_id_t lookup(key_t key) const noexcept = 0;
-
-  /// Lock-free point lookup: safe concurrently with writers, takes no lock
-  /// of any kind. The partition-local hot path.
-  virtual row_id_t lookup_unlocked(key_t key) const noexcept = 0;
 
   /// Insert; returns false when the key already exists (live). Re-inserting
   /// a tombstoned key reclaims its slot.

@@ -75,16 +75,10 @@ ordered_index::node* ordered_index::find_ge_with_preds(
   return x->next[0].load(std::memory_order_relaxed);
 }
 
-row_id_t ordered_index::lookup_unlocked(key_t key) const noexcept {
+row_id_t ordered_index::lookup(key_t key) const noexcept {
   const node* n = find_ge(key);
   if (n == nullptr || n->key != key) return kNoRow;
   return n->row.load(std::memory_order_acquire);
-}
-
-row_id_t ordered_index::lookup(key_t key) const noexcept {
-  // Reads are lock-free by construction; the "locked" flavor exists only
-  // for interface parity with the hash backend.
-  return lookup_unlocked(key);
 }
 
 bool ordered_index::insert(key_t key, row_id_t row) {

@@ -46,7 +46,6 @@ class ordered_index final : public index_backend {
   index_kind kind() const noexcept override { return index_kind::ordered; }
 
   row_id_t lookup(key_t key) const noexcept override;
-  row_id_t lookup_unlocked(key_t key) const noexcept override;
   bool insert(key_t key, row_id_t row) override;
   bool erase(key_t key) override;
 
@@ -92,7 +91,7 @@ class ordered_index final : public index_backend {
   // concurrently, so Clang TSA cannot express the split — the protocol
   // (writers hold the lock, readers need nothing, nodes are never freed
   // while live) is enforced by TSAN and documented above instead.
-  mutable common::spinlock write_lock_;
+  common::spinlock write_lock_;
   node head_;
   std::atomic<std::size_t> live_{0};
 };

@@ -20,11 +20,9 @@
 // orders/order-lines).
 //
 // Locking: key operations take a `part` hint naming the home partition.
-// `lookup_local` routes to the home shard and takes no index lock at all
-// (see hash_index.hpp for why lock-free reads are safe); `lookup` keeps
-// the stripe-locked path for cross-partition baselines (2PL/Silo/TicToc)
-// and anything without partition affinity. Writers (insert/erase) always
-// serialize through the home shard's stripes.
+// `lookup` routes to the home shard and takes no index lock at all (see
+// index_backend.hpp for why lock-free reads are safe). Writers
+// (insert/erase) always serialize through the home shard's index.
 #pragma once
 
 #include <atomic>
@@ -167,17 +165,10 @@ class table {
   /// in the schema; see storage/index_backend.hpp).
   index_kind index() const noexcept { return schema_.index(); }
 
-  /// Stripe-locked lookup in `part`'s home shard. The baseline /
-  /// no-affinity path.
+  /// Lookup in `part`'s home shard. Lock-free: safe against concurrent
+  /// writers (see index_backend.hpp).
   row_id_t lookup(key_t key, part_id_t part = 0) const noexcept {
     return shards_[home_shard(part)]->index->lookup(key);
-  }
-
-  /// Partition-local lookup: routes straight to the home shard and takes
-  /// no index lock at all (safe against concurrent writers, see
-  /// index_backend.hpp). The planner-resolve / executor hot path.
-  row_id_t lookup_local(key_t key, part_id_t part) const noexcept {
-    return shards_[home_shard(part)]->index->lookup_unlocked(key);
   }
 
   /// Allocate a fresh slot in `part`'s home shard (concurrent-safe)

@@ -149,7 +149,8 @@ TEST_P(DistNodes, DistCalvinMatchesSerial) {
   std::vector<txn::batch> batches;
   for (int i = 0; i < 2; ++i) batches.push_back(w.make_batch(r, 256, i));
 
-  dist::dist_calvin_engine eng(*db_engine, dist_cfg(GetParam()));
+  dist::dist_calvin_engine eng(*db_engine, dist_cfg(GetParam()),
+                               "dist-calvin");
   common::run_metrics m;
   for (auto& b : batches) eng.run_batch(b, m);
   EXPECT_EQ(m.committed, 512u);
@@ -182,7 +183,8 @@ TEST_P(DistNodes, EnginesAgreeOnTpcc) {
   }
   b.reset_runtime();
   {
-    dist::dist_calvin_engine eng(*db_c, dist_cfg(GetParam()));
+    dist::dist_calvin_engine eng(*db_c, dist_cfg(GetParam()),
+                                 "dist-calvin");
     common::run_metrics m;
     eng.run_batch(b, m);
   }
@@ -217,7 +219,7 @@ TEST(Placement, EnginesHandleNonDivisiblePartitions) {
       dist::dist_quecc_engine eng(*db, cfg);
       eng.run_batch(b, m);
     } else {
-      dist::dist_calvin_engine eng(*db, cfg);
+      dist::dist_calvin_engine eng(*db, cfg, "dist-calvin");
       eng.run_batch(b, m);
     }
     testutil::replay_in_seq_order(*db_serial, b);
@@ -253,7 +255,7 @@ TEST(DistBehaviour, QueccCommitCostIsPerBatchNotPerTxn) {
   auto b2 = w.make_batch(r2, 400);
   common::run_metrics mc;
   {
-    dist::dist_calvin_engine eng(*db2, cfg);
+    dist::dist_calvin_engine eng(*db2, cfg, "dist-calvin");
     eng.run_batch(b2, mc);
   }
 
@@ -282,7 +284,7 @@ TEST(DistBehaviour, BankInvariantAcrossNodes) {
         eng.run_batch(b, m);
       }
     } else {
-      dist::dist_calvin_engine eng(*db, cfg);
+      dist::dist_calvin_engine eng(*db, cfg, "dist-calvin");
       for (int i = 0; i < 2; ++i) {
         auto b = w.make_batch(r, 256, static_cast<std::uint32_t>(i));
         eng.run_batch(b, m);

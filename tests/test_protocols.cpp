@@ -258,19 +258,28 @@ TEST(ProtocolBehaviour, CalvinReadHeavyWorkload) {
   wcfg.zipf_theta = 0.9;
   auto w = wl::ycsb(wcfg);
 
-  auto db_engine = testutil::make_loaded_db(w);
-  auto db_oracle = db_engine->clone();
+  // "calvin" is dist-calvin pinned to one node: a --nodes setting must not
+  // turn it distributed (no sequencer broadcast, no remote-read or release
+  // messages).
+  for (const std::uint16_t nodes : {1, 4}) {
+    SCOPED_TRACE(nodes);
+    auto db_engine = testutil::make_loaded_db(w);
+    auto db_oracle = db_engine->clone();
 
-  common::rng r(83);
-  auto b = w.make_batch(r, 300);
+    common::rng r(83);
+    auto b = w.make_batch(r, 300);
 
-  auto eng = proto::make_engine("calvin", *db_engine, small_cfg());
-  common::run_metrics m;
-  eng->run_batch(b, m);
-  EXPECT_EQ(m.committed, 300u);
+    common::config cfg = small_cfg();
+    cfg.nodes = nodes;
+    auto eng = proto::make_engine("calvin", *db_engine, cfg);
+    common::run_metrics m;
+    eng->run_batch(b, m);
+    EXPECT_EQ(m.committed, 300u);
+    EXPECT_EQ(m.messages, 0u);
 
-  testutil::replay_in_seq_order(*db_oracle, b);
-  EXPECT_EQ(db_engine->state_hash(), db_oracle->state_hash());
+    testutil::replay_in_seq_order(*db_oracle, b);
+    EXPECT_EQ(db_engine->state_hash(), db_oracle->state_hash());
+  }
 }
 
 TEST(ProtocolFactory, RejectsUnknownName) {

@@ -55,7 +55,6 @@ TEST(OrderedIndex, InsertLookupErase) {
   EXPECT_TRUE(idx.insert(5, 50));
   EXPECT_FALSE(idx.insert(5, 51));  // duplicate
   EXPECT_EQ(idx.lookup(5), 50u);
-  EXPECT_EQ(idx.lookup_unlocked(5), 50u);
   EXPECT_EQ(idx.lookup(6), storage::kNoRow);
   EXPECT_TRUE(idx.erase(5));
   EXPECT_FALSE(idx.erase(5));
@@ -139,7 +138,7 @@ TEST(OrderedIndex, LockFreeReadersUnderConcurrentWriter) {
       // writer finishes first.
       std::uint64_t sink = 0;
       do {
-        for (key_t k = 0; k < 512; ++k) sink += idx.lookup_unlocked(k) + 1;
+        for (key_t k = 0; k < 512; ++k) sink += idx.lookup(k) + 1;
         key_t prev = 0;
         idx.visit_range(
             100, 400,

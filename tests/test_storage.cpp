@@ -190,15 +190,24 @@ TEST(Table, ShardedInsertRoutesToHomeArena) {
   EXPECT_EQ(t.live_rows(), 32u);
 }
 
-TEST(Table, PartitionLocalLookupMatchesStripedLookup) {
+TEST(Table, LookupRoutesToHomeShard) {
   table t(0, "t", two_col_schema(), 64, /*shards=*/4);
   std::vector<std::byte> p(20);
+  std::vector<row_id_t> rids;
   for (key_t k = 0; k < 32; ++k) {
-    t.insert(k, p, static_cast<part_id_t>(k % 4));
+    rids.push_back(t.insert(k, p, static_cast<part_id_t>(k % 4)));
   }
   for (key_t k = 0; k < 40; ++k) {
     const auto part = static_cast<part_id_t>(k % 4);
-    EXPECT_EQ(t.lookup_local(k, part), t.lookup(k, part));
+    const row_id_t rid = t.lookup(k, part);
+    if (k < 32) {
+      EXPECT_EQ(rid, rids[k]);
+      EXPECT_EQ(rid_shard(rid), t.home_shard(part));
+      // Another partition's shard does not hold the key.
+      EXPECT_EQ(t.lookup(k, static_cast<part_id_t>((k + 1) % 4)), kNoRow);
+    } else {
+      EXPECT_EQ(rid, kNoRow);
+    }
   }
 }
 
@@ -232,11 +241,10 @@ TEST(Table, EraseThenReinsertReclaimsTombstone) {
   ASSERT_NE(t.insert(6, p, 0), kNoRow);
   ASSERT_TRUE(t.erase(6, 0));
   EXPECT_EQ(t.lookup(6, 0), kNoRow);
-  EXPECT_EQ(t.lookup_local(6, 0), kNoRow);
   write_u64(std::span<std::byte>(p), 0, 2);
   const auto rid = t.insert(6, p, 0);
   ASSERT_NE(rid, kNoRow);
-  EXPECT_EQ(t.lookup_local(6, 0), rid);
+  EXPECT_EQ(t.lookup(6, 0), rid);
   EXPECT_EQ(read_u64(t.row(rid), 0), 2u);
   EXPECT_EQ(t.live_rows_in(0), 1u);
 }
@@ -294,7 +302,7 @@ TEST(HashIndex, SizeAndLockFreeLookupSafeUnderConcurrentWriters) {
     while (!done.load(std::memory_order_acquire)) {
       const std::size_t s = idx.size();
       ASSERT_LE(s, static_cast<std::size_t>(kWriters) * kPerWriter);
-      const row_id_t r = idx.lookup_unlocked(k);
+      const row_id_t r = idx.lookup(k);
       if (r != kNoRow) {
         // A published entry is complete: the row is the one its key got.
         ASSERT_EQ(r, k * 10);
