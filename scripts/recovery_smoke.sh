@@ -10,11 +10,14 @@
 # pure replay of the full stream landing on the same hash — that asserts
 # the resumed run really kept appending.
 #
-# Three legs: YCSB on the hash index (the original smoke), the full
+# Four legs: YCSB on the hash index (the original smoke), the full
 # scan-based 5-txn TPC-C mix on the ordered index (--tpcc-full), which
 # additionally exercises v3 checkpoints of ordered arenas and scan-fragment
-# (key_hi) plan-log round-trips, and YCSB on a two-node dist-quecc cluster,
-# whose durability is the same stage driver's.
+# (key_hi) plan-log round-trips, the same TPC-C mix under conservative
+# execution, and YCSB on a two-node dist-quecc cluster, whose durability is
+# the same stage driver's. TPC-C's doomed NewOrders are aborted while
+# planning, so the two TPC-C legs replay plan-time aborts under both
+# execution models.
 #
 # Usage: scripts/recovery_smoke.sh [build-dir]   (default: build)
 set -eu
@@ -81,6 +84,10 @@ run_leg ycsb "--workload ycsb --batches 48 --batch-size 1024 --seed 7 \
 
 run_leg tpcc-full "--workload tpcc --tpcc-full --index ordered --batches 24 \
 --batch-size 1024 --seed 7 --pipeline-depth 2 --partitions 4"
+
+run_leg tpcc-full-cons "--workload tpcc --tpcc-full --index ordered \
+--exec cons --batches 24 --batch-size 1024 --seed 7 --pipeline-depth 2 \
+--partitions 4"
 
 run_leg dist-quecc "--engine dist-quecc --nodes 2 --workload ycsb \
 --mp-ratio 0.2 --batches 48 --batch-size 1024 --seed 7 --pipeline-depth 2 \

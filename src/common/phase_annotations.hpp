@@ -33,6 +33,15 @@
 //       or serialized output. Keep these rare and leaf-like — every one
 //       is a hole in the static proof.
 //
+//   QUECC_PLAN_READ("why")
+//       The audited plan-phase storage read. Marks the one planner function
+//       that runs fragment logic while planning (abort checks over tables no
+//       transaction writes, see core/planner.hpp). Fragment logic reaches
+//       the executor's row accessors by name, so the phase rule treats the
+//       function as opaque; the nondet rule still traverses it. The string
+//       must say why the reads cannot race with the execution they may
+//       overlap.
+//
 //   QUECC_UNORDERED_OK("why")
 //       Suppresses only the ordered-output-hygiene rule (range-for over an
 //       unordered container in determinism-relevant code) for a whole
@@ -57,5 +66,6 @@
 #define EPILOGUE_PHASE QUECC_PHASE_ANNOTATE_("quecc::phase::epilogue")
 #define REPLAY_ENTRY QUECC_PHASE_ANNOTATE_("quecc::phase::replay")
 #define QUECC_NONDET(why) QUECC_PHASE_ANNOTATE_("quecc::nondet: " why)
+#define QUECC_PLAN_READ(why) QUECC_PHASE_ANNOTATE_("quecc::plan-read: " why)
 #define QUECC_UNORDERED_OK(why) \
   QUECC_PHASE_ANNOTATE_("quecc::unordered-ok: " why)

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/spinlock.hpp"
+#include "obs/metrics.hpp"
 
 namespace quecc::core {
 
@@ -46,14 +47,21 @@ void executor::process(const frag_entry& e) {
   // come from smaller fragment idx, txn::validate_plan; planners keep
   // replay order, planner.hpp) — unless the txn aborts, which breaks the
   // wait.
-  if (f.input_mask != 0) {
+  //
+  // Both waits time themselves into a counter, reading the clock only once
+  // a wait has started, so the no-wait path reads no clock.
+  if (f.input_mask != 0 && !t.inputs_ready(f.input_mask)) {
+    static const obs::counter data_wait("engine.exec_data_wait_nanos");
+    const std::uint64_t w0 = common::now_nanos();
     common::backoff bo;
-    while (!t.inputs_ready(f.input_mask)) {
-      if (t.aborted()) {
-        skip(e);
-        return;
-      }
+    do {
+      if (t.aborted()) break;
       bo.spin();
+    } while (!t.inputs_ready(f.input_mask));
+    data_wait.inc(common::now_nanos() - w0);
+    if (t.aborted()) {
+      skip(e);
+      return;
     }
   }
 
@@ -62,13 +70,15 @@ void executor::process(const frag_entry& e) {
   // has resolved, so uncommitted updates are never exposed (paper §3.2).
   if (cfg_.execution == common::exec_model::conservative &&
       f.updates_database()) {
-    common::backoff bo;
-    while (t.pending_abortables.load(std::memory_order_acquire) != 0) {
-      if (t.aborted()) {
-        skip(e);
-        return;
+    if (t.pending_abortables.load(std::memory_order_acquire) != 0) {
+      static const obs::counter commit_wait("engine.exec_commit_wait_nanos");
+      const std::uint64_t w0 = common::now_nanos();
+      common::backoff bo;
+      while (t.pending_abortables.load(std::memory_order_acquire) != 0 &&
+             !t.aborted()) {
+        bo.spin();
       }
-      bo.spin();
+      commit_wait.inc(common::now_nanos() - w0);
     }
     if (t.aborted()) {  // abort decided by the final abortable fragment
       skip(e);

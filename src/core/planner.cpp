@@ -1,8 +1,46 @@
 #include "core/planner.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace quecc::core {
+
+namespace {
+
+/// The frag_host of plan-time abort checks: reads of replicated tables and
+/// nothing else. A check reaching any other access is a workload bug.
+class plan_host final : public txn::frag_host {
+ public:
+  explicit plan_host(const storage::database& db) : db_(db) {}
+
+  std::span<const std::byte> read_row(const txn::fragment& f,
+                                      txn::txn_desc&) override {
+    const storage::table& tab = db_.at(f.table);
+    if (!tab.replicated()) refuse();
+    const auto rid = tab.lookup(f.key, f.part);
+    if (rid == storage::kNoRow) return {};
+    return tab.row(rid);
+  }
+  std::span<std::byte> update_row(const txn::fragment&,
+                                  txn::txn_desc&) override {
+    refuse();
+  }
+  std::span<std::byte> insert_row(const txn::fragment&,
+                                  txn::txn_desc&) override {
+    refuse();
+  }
+  bool erase_row(const txn::fragment&, txn::txn_desc&) override { refuse(); }
+
+ private:
+  [[noreturn]] static void refuse() {
+    throw std::logic_error(
+        "plan-time abort checks may only read replicated tables");
+  }
+
+  const storage::database& db_;
+};
+
+}  // namespace
 
 void plan_output::resize(worker_id_t executors, bool with_read_queues) {
   conflict.resize(executors);
@@ -56,6 +94,30 @@ worker_id_t planner::route(const txn::fragment& f,
   return static_cast<worker_id_t>(node * e_per_node + h % e_per_node);
 }
 
+bool planner::decided_at_plan(const txn::fragment& f) const noexcept {
+  return f.abortable && f.kind == txn::op_kind::read && f.input_mask == 0 &&
+         db_.at(f.table).replicated();
+}
+
+bool planner::run_plan_checks(txn::txn_desc& t, txn::frag_host& h) const {
+  std::uint32_t resolved = 0;
+  for (const auto& f : t.frags) {
+    if (!decided_at_plan(f)) continue;
+    if (t.proc->run_fragment(f, t, h) == txn::frag_status::abort) {
+      t.mark_aborted_at_plan();
+      return false;
+    }
+    ++resolved;
+  }
+  if (resolved != 0) {
+    // relaxed: pre-execution mutation, published by the stage hand-off.
+    t.pending_abortables.fetch_sub(resolved, std::memory_order_relaxed);
+    // relaxed: as above.
+    t.remaining_frags.fetch_sub(resolved, std::memory_order_relaxed);
+  }
+  return true;
+}
+
 std::uint64_t planner::writer_needed_slots(const txn::txn_desc& t) noexcept {
   std::uint64_t needed = 0;
   for (auto it = t.frags.rbegin(); it != t.frags.rend(); ++it) {
@@ -91,16 +153,20 @@ void planner::plan(txn::batch& b, plan_output& out) {
   const std::size_t begin = std::min<std::size_t>(id_ * chunk, b.size());
   const std::size_t end = std::min(begin + chunk, b.size());
   const bool rc = cfg_.iso == common::isolation::read_committed;
-  // Planning never resolves the primary index: it may overlap the previous
-  // batch's execution, which mutates the index through inserts/erases, so
-  // rids resolve at execution time (executor::resolve, and
-  // batch_slot::resolve_read_queues for RC read queues). Execution is
-  // serialized across batches, so those lookups return the same rids at
-  // every pipeline depth, and planning touches no shared mutable state.
+  // Planning resolves the primary index of replicated tables only: it may
+  // overlap the previous batch's execution, which mutates every other
+  // index through inserts/erases, so their rids resolve at execution time
+  // (executor::resolve, and batch_slot::resolve_read_queues for RC read
+  // queues). Execution is serialized across batches, so those lookups
+  // return the same rids at every pipeline depth, and planning reads no
+  // state that execution writes.
+  plan_host host(db_);
   for (std::size_t i = begin; i < end; ++i) {
     txn::txn_desc& t = b.at(i);
+    if (!run_plan_checks(t, host)) continue;  // aborted: plans nothing
     const std::uint64_t writer_needed = rc ? writer_needed_slots(t) : 0;
     for (auto& f : t.frags) {
+      if (decided_at_plan(f)) continue;  // resolved by run_plan_checks
       // Cross-partition scans fan out into one conflict-queue entry per
       // partition (the fragment's partition is the kAllParts sentinel; the
       // entry carries the effective one). The txn's fragment count and the

@@ -8,10 +8,23 @@
 // global replay order (planner, seq, frag idx) is consistent with sequence
 // order — the serial-equivalent order of the batch.
 //
-// Planning reads only the batch and the catalog (each table's index kind,
-// for routing). Primary-index lookups (fragment -> row id) happen at
+// Planning reads the batch, the catalog (each table's index kind, for
+// routing) and rows of replicated tables, which no transaction writes.
+// Every other primary-index lookup (fragment -> row id) happens at
 // execution time: planning of batch i+1 may overlap batch i's execution,
 // which mutates the indexes.
+//
+// Plan-time abort checks. An abortable read with no inputs on a replicated
+// table (TPC-C's ITEM check) is a function of the transaction's arguments
+// and a row nothing writes, so its outcome is known before anything runs.
+// The planner runs it through the procedure's own logic against a host that
+// reads only replicated tables. If it aborts, the transaction is marked
+// aborted and plans no fragments; otherwise its output slot is produced and
+// the fragment is not queued, so its commit dependency is gone before
+// execution starts. Planners write only runtime fields (status, slots,
+// counters), never a transaction's fragments or arguments, which the
+// command log encodes while planning runs. Replay replans and reaches the
+// same decisions.
 #pragma once
 
 #include <vector>
@@ -21,6 +34,7 @@
 #include "core/frag_queue.hpp"
 #include "storage/database.hpp"
 #include "txn/batch.hpp"
+#include "txn/procedure.hpp"
 
 namespace quecc::core {
 
@@ -47,6 +61,19 @@ class planner {
   PLAN_PHASE void plan(txn::batch& b, plan_output& out);
 
  private:
+  /// Abortable reads the planner decides itself: no inputs, on a
+  /// replicated (read-only) table.
+  PLAN_PHASE bool decided_at_plan(const txn::fragment& f) const noexcept;
+
+  /// Run t's plan-decidable abort checks through its logic against `h`.
+  /// Returns false when one aborts (t is marked aborted at plan time);
+  /// otherwise drops the resolved checks from t's pending_abortables and
+  /// remaining_frags.
+  QUECC_PLAN_READ(
+      "reads only replicated tables, which no transaction writes, so the "
+      "reads cannot race with the execution planning overlaps")
+  bool run_plan_checks(txn::txn_desc& t, txn::frag_host& h) const;
+
   /// Pure read fragments are eligible for the RC read queues; everything
   /// else keeps conflict-queue FIFO ordering. `writer_needed` is the mask
   /// of slots transitively consumed by conflict-queue fragments of the same

@@ -218,12 +218,14 @@ recovery_stats spec_manager::recover(txn::batch& b,
   recovery_stats stats;
   extra_dirty_.clear();
 
-  // --- 0. collect logic aborts -------------------------------------------
+  // --- 0. collect run-time logic aborts -----------------------------------
+  // Aborts decided at plan time queued no fragment: they read and wrote
+  // nothing, so they seed nothing (and no edge can reach them).
   const std::size_t n = b.size();
   affected_.assign(n, 0);
   worklist_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    if (b.at(i).aborted()) {
+    if (b.at(i).aborted() && !b.at(i).aborted_at_plan()) {
       affected_[i] = 1;
       worklist_.push_back(static_cast<seq_t>(i));
       ++stats.logic_aborts;

@@ -292,8 +292,9 @@ void stage_driver::run_epilogue(std::uint64_t n) {
   // State-mutating half at the quiescent point: executors for batch n+1
   // wait on published_, so the executor logs read here are still batch
   // n's and nothing observes the database mid-recovery. Planners may
-  // concurrently plan batches n+1.. — planning touches no shared mutable
-  // state (see planner.cpp).
+  // concurrently plan batches n+1.. — planning reads only replicated
+  // tables, which nothing writes, and writes only its own batch's runtime
+  // fields (see planner.hpp).
   const std::uint64_t epi0 = common::now_nanos();
   if (hooks_ != nullptr) hooks_->pre_publish(b);
   last_rec_ = batch_epilogue(b, m);
@@ -424,8 +425,10 @@ void stage_driver::run_batch(txn::batch& b, common::run_metrics& m) {
 recovery_stats stage_driver::batch_epilogue(txn::batch& b,
                                             common::run_metrics& m) {
   // Speculative recovery: resolve speculation dependencies (cascading
-  // aborts + deterministic re-execution). Conservative execution cannot
-  // expose dirty data, so aborted transactions already left no effects.
+  // aborts + deterministic re-execution) of the aborts decided at run
+  // time; transactions aborted at plan time ran nothing. Conservative
+  // execution cannot expose dirty data, so aborted transactions already
+  // left no effects.
   recovery_stats rec{};
   if (cfg_.execution == common::exec_model::speculative) {
     std::vector<exec_logs*> logs;
@@ -438,12 +441,13 @@ recovery_stats stage_driver::batch_epilogue(txn::batch& b,
     static const obs::counter reexec("spec.reexecutions_total");
     static const obs::counter redo("spec.full_redo_total");
     static const obs::counter split("spec.split_records_total");
-    recoveries.inc();
     cascades.inc(rec.cascades);
     reexec.inc(rec.reexecuted);
     if (rec.full_redo) redo.inc();
     split.inc(rec.split_records);
-    if (rec.logic_aborts > 0) {  // abort-free batches time nothing
+    // Batches without run-time logic aborts recover (and time) nothing.
+    if (rec.logic_aborts > 0) {
+      recoveries.inc();
       static const obs::histogram index_h("spec.index_nanos");
       static const obs::histogram taint_h("spec.taint_nanos");
       static const obs::histogram rollback_h("spec.rollback_nanos");
@@ -519,11 +523,11 @@ std::uint64_t stage_driver::log_commit_record(const txn::batch& b) {
   wal_->request_flush();
 
   // Batch-boundary checkpoint: we sit at the inter-batch quiescent point
-  // (executors for the next batch are parked on published_; planners touch
-  // no database state), so the snapshot is transaction-consistent by
-  // construction. The new checkpoint covers every logged batch; rotate and
-  // drop the old segments (checkpoint file + manifest land before any
-  // deletion).
+  // (executors for the next batch are parked on published_; planners write
+  // no database state and read only replicated tables), so the snapshot is
+  // transaction-consistent by construction. The new checkpoint covers every
+  // logged batch; rotate and drop the old segments (checkpoint file +
+  // manifest land before any deletion).
   if (cfg_.checkpoint_interval_batches > 0 &&
       ++batches_since_ckpt_ >= cfg_.checkpoint_interval_batches) {
     batches_since_ckpt_ = 0;
@@ -533,12 +537,13 @@ std::uint64_t stage_driver::log_commit_record(const txn::batch& b) {
     // submit time — into the segments just truncated. Re-append them so
     // recovery can replay past this checkpoint (their commit records land
     // later, in retirement order). Batch contents are frozen (planners
-    // never write them). In async mode the submit thread may append the
-    // same batch record concurrently — log_writer::append serializes the
-    // frames internally and replay is last-record-wins per batch id, so
-    // the duplicate is benign in every interleaving (an append that landed
-    // in a truncated segment is re-covered here; one landing after the
-    // rotation sits in the fresh segment on its own).
+    // write only runtime fields, never fragments or arguments). In async
+    // mode the submit thread may append the same batch record concurrently
+    // — log_writer::append serializes the frames internally and replay is
+    // last-record-wins per batch id, so the duplicate is benign in every
+    // interleaving (an append that landed in a truncated segment is
+    // re-covered here; one landing after the rotation sits in the fresh
+    // segment on its own).
     std::uint64_t first_inflight, end_inflight;
     {
       common::mutex_lock lk(mu_);

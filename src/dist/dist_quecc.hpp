@@ -65,6 +65,9 @@ class dist_quecc_engine final : public proto::engine,
   const core::phase_stats& last_phases() const noexcept {
     return driver_.last_phases();
   }
+  const core::recovery_stats& last_recovery() const noexcept {
+    return driver_.last_recovery();
+  }
 
  private:
   /// Plan-bundle round: every planner's remote queue bundles are shipped

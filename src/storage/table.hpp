@@ -115,6 +115,12 @@ class table {
   /// partitioned engines treat reads of them as partition-local, exactly
   /// like H-Store's replicated dimension tables. Such tables are loaded
   /// with a single shard that every partition's lookups route to.
+  ///
+  /// Contract: once loaded, no transaction writes a replicated table. The
+  /// queue-oriented planner relies on it: it evaluates abortable reads of
+  /// replicated tables while planning, which may overlap the previous
+  /// batch's execution (core/planner.hpp). Change the flag only while no
+  /// engine runs on the database.
   void set_replicated(bool r) noexcept { replicated_ = r; }
   bool replicated() const noexcept { return replicated_; }
 

@@ -13,6 +13,8 @@
 //  * commit dependency   — `kind != read` fragments must not apply before
 //    the transaction's abortable fragments resolve (enforced by the
 //    conservative executor; tracked via txn_context::pending_abortables).
+//    Abortable reads with no inputs on a replicated table resolve while
+//    planning (core/planner.hpp), so they leave no commit dependency.
 //  * speculation dependency — arises at run time under speculative
 //    execution; tracked by the speculation manager's read/undo logs.
 #pragma once

@@ -11,6 +11,7 @@ void txn_desc::reset_runtime() {
   // workers; the release fence at the end + the engine's stage hand-off
   // publish the whole reset at once.
   status.store(txn_status::active, std::memory_order_relaxed);
+  aborted_at_plan_ = false;
   std::uint32_t abortables = 0;
   for (const auto& f : frags) {
     if (f.abortable) {

@@ -76,6 +76,15 @@ class txn_desc {
     status.store(txn_status::aborted, std::memory_order_release);
   }
 
+  /// Logic abort decided while planning (core::planner): no fragment of the
+  /// transaction was queued, so it ran nothing and dirtied nothing, and
+  /// speculative recovery does not seed its taint closure with it.
+  void mark_aborted_at_plan() noexcept {
+    aborted_at_plan_ = true;
+    mark_aborted();
+  }
+  bool aborted_at_plan() const noexcept { return aborted_at_plan_; }
+
   // --- value slots (data dependencies) ------------------------------------
   std::size_t slot_count() const noexcept { return slots_.size(); }
   void resize_slots(std::size_t n);
@@ -129,6 +138,9 @@ class txn_desc {
 
  private:
   std::vector<value_slot> slots_;
+  /// Plain field: the planner writes it before the plan->exec hand-off and
+  /// the epilogue reads it after, so the stage hand-offs order the two.
+  bool aborted_at_plan_ = false;
 };
 
 }  // namespace quecc::txn

@@ -136,8 +136,8 @@ TEST(Planner, PlanningDefersIndexResolutionAtEveryDepth) {
   auto b = w.make_batch(r, 50);
 
   // Planning may overlap the previous batch's execution, which mutates the
-  // index — lookups defer to the executors' resolve() and planning touches
-  // no shared state, at depth 1 as well.
+  // index — lookups defer to the executors' resolve() and planning reads no
+  // state execution writes, at depth 1 as well.
   for (std::uint32_t depth : {1u, 2u}) {
     auto cfg = engine_cfg(1, 1);
     cfg.pipeline_depth = depth;

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "core/engine.hpp"
+#include "core/planner.hpp"
 #include "core/spec_manager.hpp"
 #include "dist/dist_quecc.hpp"
 #include "obs/metrics.hpp"
@@ -378,6 +379,14 @@ TEST(SpecRecovery, BankEscalatesAndMatchesSerial) {
   EXPECT_EQ(db->state_hash(), db_serial->state_hash());
 }
 
+/// TPC-C decides its only logic abort, the ITEM check, at plan time, since
+/// ITEM is replicated. Tests of run-time recovery call this after `load`:
+/// with ITEM no longer replicated the check runs in the executors, so its
+/// aborts reach speculative recovery.
+void decide_item_checks_at_run_time(storage::database& db) {
+  db.by_name("item").set_replicated(false);
+}
+
 wl::tpcc_config full_mix_cfg() {
   wl::tpcc_config w;
   w.warehouses = 2;
@@ -406,6 +415,7 @@ INSTANTIATE_TEST_SUITE_P(
             [](storage::database& db, storage::database&) {
               wl::tpcc w(full_mix_cfg());
               w.load(db);
+              decide_item_checks_at_run_time(db);
               common::rng r(5);
               config cfg;
               cfg.iso = isolation::read_committed;
@@ -451,6 +461,7 @@ INSTANTIATE_TEST_SUITE_P(
               wl::tpcc w(full_mix_cfg());
               w.load(db);
               w.load(serial);
+              decide_item_checks_at_run_time(db);
               common::rng r(59);
               std::vector<txn::batch> batches;
               for (int i = 0; i < 3; ++i) {
@@ -495,6 +506,7 @@ INSTANTIATE_TEST_SUITE_P(Depths, SlotReuse, testing::Values(1u, 2u),
 TEST_P(SlotReuse, RolledBackInsertsFreeTheirSlots) {
   wl::tpcc w(full_mix_cfg());
   auto db = testutil::make_loaded_db(w);
+  decide_item_checks_at_run_time(*db);
   auto db_serial = db->clone();
   common::rng r(41);
   std::vector<txn::batch> batches;
@@ -529,6 +541,213 @@ TEST_P(SlotReuse, RolledBackInsertsFreeTheirSlots) {
       }
     }
   }
+}
+
+// --- plan-time abort checks --------------------------------------------------
+
+TEST(PlanTimeChecks, PlannerDecidesItemChecksExactlyAsSerialDoes) {
+  wl::tpcc_config wc = full_mix_cfg();
+  wc.new_order_ratio = 1;
+  wc.payment_ratio = wc.order_status_ratio = wc.delivery_ratio =
+      wc.stock_level_ratio = 0;
+  wc.invalid_item_ratio = 0.3;
+  wl::tpcc w(wc);
+  auto db = testutil::make_loaded_db(w);
+  auto db_serial = db->clone();
+  common::rng r(3);
+  auto b = w.make_batch(r, 256, 0);
+  const table_id_t item = db->by_name("item").id();
+
+  config cfg;
+  core::plan_output out;
+  std::uint64_t planned = 0;
+  for (worker_id_t p = 0; p < cfg.planner_threads; ++p) {
+    core::planner(p, cfg, *db).plan(b, out);
+    planned += out.planned_frags;
+  }
+  std::vector<bool> aborted;
+  std::uint64_t expected = 0;
+  for (const auto& tp : b) {
+    const txn::txn_desc& t = *tp;
+    aborted.push_back(t.aborted());
+    if (t.aborted()) {
+      EXPECT_TRUE(t.aborted_at_plan()) << "seq " << t.seq;
+      continue;  // a doomed NewOrder plans no fragment
+    }
+    // Every check passed: its price slot is produced and nothing waits on
+    // it.
+    std::uint32_t checks = 0;
+    for (const auto& f : t.frags) {
+      if (f.table != item) continue;
+      ++checks;
+      EXPECT_TRUE(t.inputs_ready(1ull << f.output_slot)) << "seq " << t.seq;
+    }
+    EXPECT_EQ(t.pending_abortables.load(), 0u) << "seq " << t.seq;
+    EXPECT_EQ(t.remaining_frags.load(), t.frags.size() - checks);
+    expected += t.frags.size() - checks;
+  }
+  EXPECT_EQ(planned, expected);
+
+  // The serial run aborts exactly the transactions the planner aborted.
+  testutil::replay_in_seq_order(*db_serial, b);
+  std::size_t doomed = 0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_EQ(b.at(i).aborted(), aborted[i]) << "seq " << i;
+    doomed += aborted[i] ? 1 : 0;
+  }
+  EXPECT_GT(doomed, 0u);
+  EXPECT_LT(doomed, b.size());
+}
+
+struct plan_time_case {
+  const char* name;
+  exec_model exec;
+  isolation iso;
+  std::uint32_t depth;
+  std::uint32_t nodes;
+};
+
+struct engine_run {
+  std::uint64_t hash = 0;
+  std::vector<std::vector<std::uint64_t>> fingerprints;
+  std::uint32_t last_logic_aborts = 0;
+  std::uint64_t last_planned = 0;
+};
+
+/// Runs `batches` through the case's engine on `db`. Every batch is
+/// submitted before any is drained, so at depth 2 batch n+1 is planned —
+/// its ITEM checks read — while batch n executes.
+engine_run run_case(const plan_time_case& c, storage::database& db,
+                    std::vector<txn::batch>& batches) {
+  config cfg;
+  cfg.execution = c.exec;
+  cfg.iso = c.iso;
+  cfg.pipeline_depth = c.depth;
+  cfg.nodes = c.nodes;
+  if (c.nodes > 1) {
+    cfg.planner_threads = 1;
+    cfg.net_latency_micros = 20;
+  }
+  for (auto& b : batches) b.reset_runtime();
+  engine_run out;
+  const auto drive = [&](auto& eng) {
+    common::run_metrics m;
+    for (auto& b : batches) eng.submit_batch(b, m);
+    while (eng.drain_batch()) {
+    }
+    out.last_logic_aborts = eng.last_recovery().logic_aborts;
+    out.last_planned = eng.last_phases().planned_fragments;
+  };
+  if (c.nodes > 1) {
+    dist::dist_quecc_engine eng(db, cfg);
+    drive(eng);
+  } else {
+    core::quecc_engine eng(db, cfg);
+    drive(eng);
+  }
+  out.hash = db.state_hash();
+  for (const auto& b : batches) {
+    const auto fp = testutil::result_fingerprints(b);
+    out.fingerprints.insert(out.fingerprints.end(), fp.begin(), fp.end());
+  }
+  return out;
+}
+
+/// Queue entries the planner makes for `b` once ITEM checks are decided at
+/// plan time: none for a doomed transaction or a decided check, one per
+/// partition for a kAllParts scan, one for every other fragment.
+std::uint64_t queued_entries(const txn::batch& b, table_id_t item,
+                             part_id_t parts) {
+  std::uint64_t n = 0;
+  for (const auto& tp : b) {
+    if (tp->aborted()) continue;
+    for (const auto& f : tp->frags) {
+      if (f.table == item) continue;
+      n += f.part == txn::kAllParts ? parts : 1;
+    }
+  }
+  return n;
+}
+
+class PlanTimeAborts : public testing::TestWithParam<plan_time_case> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    TpccFullMix, PlanTimeAborts,
+    testing::Values(
+        plan_time_case{"spec_d1", exec_model::speculative,
+                       isolation::serializable, 1, 1},
+        plan_time_case{"spec_d2", exec_model::speculative,
+                       isolation::serializable, 2, 1},
+        plan_time_case{"cons_d1", exec_model::conservative,
+                       isolation::serializable, 1, 1},
+        plan_time_case{"cons_d2", exec_model::conservative,
+                       isolation::serializable, 2, 1},
+        plan_time_case{"rc_spec_d2", exec_model::speculative,
+                       isolation::read_committed, 2, 1},
+        plan_time_case{"rc_cons_d1", exec_model::conservative,
+                       isolation::read_committed, 1, 1},
+        plan_time_case{"dist_spec_two_nodes", exec_model::speculative,
+                       isolation::serializable, 2, 2},
+        plan_time_case{"dist_cons_two_nodes", exec_model::conservative,
+                       isolation::serializable, 2, 2}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST_P(PlanTimeAborts, MatchSerialWithoutRecoveryOrCommitWaits) {
+  // The counter checks below compare deltas, so they hold vacuously when
+  // observability is compiled out; the rest needs no metrics.
+  const plan_time_case& c = GetParam();
+  wl::tpcc w(full_mix_cfg());
+  auto db = testutil::make_loaded_db(w);
+  auto db_run_time = db->clone();
+  auto db_serial = db->clone();
+  decide_item_checks_at_run_time(*db_run_time);
+  common::rng r(23);
+  std::vector<txn::batch> batches;
+  for (int i = 0; i < 3; ++i) batches.push_back(w.make_batch(r, 512, i));
+
+  const auto recoveries0 = counter("spec.recoveries_total");
+  const auto cascades0 = counter("spec.cascade_aborts_total");
+  const auto commit_wait0 = counter("engine.exec_commit_wait_nanos");
+  const engine_run got = run_case(c, *db, batches);
+  // No abort reached the executors: nothing to recover, and no abortable
+  // fragment left for a conservative update to wait on.
+  EXPECT_EQ(got.last_logic_aborts, 0u);
+  EXPECT_EQ(counter("spec.recoveries_total"), recoveries0);
+  EXPECT_EQ(counter("spec.cascade_aborts_total"), cascades0);
+  EXPECT_EQ(counter("engine.exec_commit_wait_nanos"), commit_wait0);
+  // Doomed NewOrders were aborted by the planner and queued nothing.
+  std::size_t doomed = 0;
+  for (const auto& tp : batches.back()) {
+    if (!tp->aborted()) continue;
+    EXPECT_TRUE(tp->aborted_at_plan()) << "seq " << tp->seq;
+    ++doomed;
+  }
+  EXPECT_GT(doomed, 0u);
+  EXPECT_EQ(got.last_planned,
+            queued_entries(batches.back(), db->by_name("item").id(),
+                           config{}.partitions));
+
+  // Control: the same batches with the checks decided in the executors.
+  const engine_run run_time = run_case(c, *db_run_time, batches);
+  EXPECT_EQ(got.hash, run_time.hash);
+  const bool spec = c.exec == exec_model::speculative;
+  if (spec) EXPECT_GT(run_time.last_logic_aborts, 0u);
+  // Read-committed read-queue results are not serial-equivalent. On the
+  // speculative run-time path they also differ: recovery re-executes
+  // tainted transactions against the working rows, read-queue reads
+  // included. Only the state is comparable there.
+  const bool rc = c.iso == isolation::read_committed;
+  if (!(rc && spec)) EXPECT_EQ(got.fingerprints, run_time.fingerprints);
+
+  for (auto& b : batches) testutil::replay_in_seq_order(*db_serial, b);
+  EXPECT_EQ(got.hash, db_serial->state_hash());
+  if (rc) return;
+  std::vector<std::vector<std::uint64_t>> serial_fps;
+  for (const auto& b : batches) {
+    const auto fp = testutil::result_fingerprints(b);
+    serial_fps.insert(serial_fps.end(), fp.begin(), fp.end());
+  }
+  EXPECT_EQ(got.fingerprints, serial_fps);
 }
 
 }  // namespace
