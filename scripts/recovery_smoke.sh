@@ -10,14 +10,17 @@
 # pure replay of the full stream landing on the same hash — that asserts
 # the resumed run really kept appending.
 #
-# Four legs: YCSB on the hash index (the original smoke), the full
+# Five legs: YCSB on the hash index (the original smoke), the full
 # scan-based 5-txn TPC-C mix on the ordered index (--tpcc-full), which
 # additionally exercises v3 checkpoints of ordered arenas and scan-fragment
 # (key_hi) plan-log round-trips, the same TPC-C mix under conservative
-# execution, and YCSB on a two-node dist-quecc cluster, whose durability is
-# the same stage driver's. TPC-C's doomed NewOrders are aborted while
-# planning, so the two TPC-C legs replay plan-time aborts under both
-# execution models.
+# execution, YCSB on a two-node dist-quecc cluster, whose durability is
+# the same stage driver's, and bank. TPC-C's doomed NewOrders are aborted
+# while planning, so the two TPC-C legs replay plan-time aborts under both
+# execution models. Bank's overdraft aborts read mutable rows, so they are
+# decided at run time: the bank leg is the one that runs speculative
+# recovery (cascades, rollback, re-execution, and escalation on most
+# batches) both live and during replay.
 #
 # Usage: scripts/recovery_smoke.sh [build-dir]   (default: build)
 set -eu
@@ -92,3 +95,6 @@ run_leg tpcc-full-cons "--workload tpcc --tpcc-full --index ordered \
 run_leg dist-quecc "--engine dist-quecc --nodes 2 --workload ycsb \
 --mp-ratio 0.2 --batches 48 --batch-size 1024 --seed 7 --pipeline-depth 2 \
 --partitions 4"
+
+run_leg bank "--workload bank --batches 400 --batch-size 1024 --seed 7 \
+--pipeline-depth 2 --partitions 4"

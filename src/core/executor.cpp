@@ -136,27 +136,18 @@ std::span<const std::byte> executor::read_row(const txn::fragment& f,
   return db_.at(f.table).row(rid);
 }
 
-void executor::log_undo_update(const txn::fragment& f, txn::txn_desc& t,
-                               storage::row_id_t rid) {
-  undo_entry u{t.seq, f.table, f.key, rid, txn::op_kind::update, 0, 0};
-  if (cfg_.execution == common::exec_model::speculative) {
-    const auto row = db_.at(f.table).row(rid);
-    u.arena_offset = static_cast<std::uint32_t>(logs_.arena.size());
-    u.len = static_cast<std::uint32_t>(row.size());
-    logs_.arena.insert(logs_.arena.end(), row.begin(), row.end());
-  }
-  // Conservative mode keeps the entry without a before-image: aborted
-  // transactions never reach update_row, so the entry only feeds the
-  // read-committed publish list.
-  logs_.undo.push_back(u);
-}
-
 std::span<std::byte> executor::update_row(const txn::fragment& f,
                                           txn::txn_desc& t) {
   const auto rid = resolve(f);
   if (rid == storage::kNoRow) return {};
-  log_undo_update(f, t, rid);
-  return db_.at(f.table).row(rid);
+  const auto row = db_.at(f.table).row(rid);
+  // Conservative mode keeps the entry without a before-image: aborted
+  // transactions never reach update_row, so the entry only feeds the
+  // read-committed publish list.
+  const bool keep_image = cfg_.execution == common::exec_model::speculative;
+  logs_.undo.add(t.seq, f.table, f.key, rid, txn::op_kind::update,
+                 keep_image ? row : std::span<std::byte>());
+  return row;
 }
 
 std::span<std::byte> executor::insert_row(const txn::fragment& f,
@@ -169,8 +160,7 @@ std::span<std::byte> executor::insert_row(const txn::fragment& f,
     table.retire_unindexed(rid);  // duplicate key: recycle the slot
     return {};
   }
-  logs_.undo.push_back(
-      {t.seq, f.table, f.key, rid, txn::op_kind::insert, 0, 0});
+  logs_.undo.add(t.seq, f.table, f.key, rid, txn::op_kind::insert);
   return row;
 }
 
@@ -178,8 +168,7 @@ bool executor::erase_row(const txn::fragment& f, txn::txn_desc& t) {
   const auto rid = resolve(f);
   if (rid == storage::kNoRow) return false;
   if (!db_.at(f.table).erase(f.key, f.part)) return false;
-  logs_.undo.push_back(
-      {t.seq, f.table, f.key, rid, txn::op_kind::erase, 0, 0});
+  logs_.undo.add(t.seq, f.table, f.key, rid, txn::op_kind::erase);
   return true;
 }
 

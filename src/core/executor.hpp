@@ -1,4 +1,4 @@
-// Execution phase: one executor drains its assigned queues in priority
+// Execution phase: one executor drains its assigned queues in planner
 // order (paper Section 3.2, second phase).
 //
 // "Execution threads are not aware of the actual transactions. They are
@@ -44,7 +44,7 @@ class executor final : public txn::frag_host {
     logs_.clear();
   }
 
-  /// Drain conflict queues in the given (priority-sorted) order.
+  /// Drain conflict queues in the given (planner) order.
   EXEC_PHASE void run_conflict_queues(std::span<const frag_queue* const> queues);
 
   /// Claim and drain read-committed read queues from the shared pool.
@@ -76,9 +76,6 @@ class executor final : public txn::frag_host {
   /// the home partition's queue makes earlier same-key inserts and erases
   /// of this batch visible by now).
   storage::row_id_t resolve(const txn::fragment& f) const noexcept;
-
-  void log_undo_update(const txn::fragment& f, txn::txn_desc& t,
-                       storage::row_id_t rid);
 
   worker_id_t id_;
   const common::config& cfg_;

@@ -1,9 +1,11 @@
-// Execution queues: priority-tagged FIFO queues of planned fragments.
+// Execution queues: FIFO queues of planned fragments.
 //
-// Paper Section 3.2 / Figure 1: planners emit queues of fragments tagged
-// with deterministic priorities; executors process assigned queues in
-// priority order and "obey the FIFO property of queues when processing
-// fragments with conflict dependencies".
+// Paper Section 3.2 / Figure 1: planners emit queues of fragments with a
+// deterministic priority; executors process assigned queues in priority
+// order and "obey the FIFO property of queues when processing fragments
+// with conflict dependencies". Here the priority is the planner's id and
+// lives in the queue's position: pipeline::build wires each executor's
+// queues in planner order.
 //
 // A queue is written by exactly one planner during the planning phase and
 // read by exactly one executor during the execution phase; the engine's
@@ -11,7 +13,7 @@
 // needs no synchronization (CP.3: minimize shared writable data).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "txn/fragment.hpp"
@@ -34,22 +36,8 @@ struct frag_entry {
   part_id_t part = 0;
 };
 
-/// Deterministic queue priority: (planner id, position). Executors drain
-/// planner 0's queue fully before planner 1's, matching batch order.
-struct queue_priority {
-  worker_id_t planner = 0;
-
-  friend bool operator<(const queue_priority& a,
-                        const queue_priority& b) noexcept {
-    return a.planner < b.planner;
-  }
-};
-
 class frag_queue {
  public:
-  void set_priority(queue_priority p) noexcept { prio_ = p; }
-  queue_priority priority() const noexcept { return prio_; }
-
   void push(frag_entry e) { entries_.push_back(e); }
   void clear() noexcept { entries_.clear(); }
 
@@ -61,7 +49,6 @@ class frag_queue {
 
  private:
   std::vector<frag_entry> entries_;
-  queue_priority prio_;
 };
 
 }  // namespace quecc::core

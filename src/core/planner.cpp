@@ -139,15 +139,11 @@ void planner::plan(txn::batch& b, plan_output& out) {
   out.resize(cfg_.executor_threads,
              cfg_.iso == common::isolation::read_committed);
   out.clear();
-  const queue_priority prio{id_};
-  for (auto& q : out.conflict) q.set_priority(prio);
-  for (auto& q : out.reads) q.set_priority(prio);
 
-  // Contiguous slicing keeps the global replay order (planner priority,
-  // queue position) identical to batch sequence order, which is the
-  // paradigm's serial-equivalent order. Round-robin slicing would still be
-  // deterministic but would make the equivalent serial order a permutation
-  // of seq order, needlessly complicating reasoning and tests.
+  // Contiguous slicing: see pipeline::build for why replay order is seq
+  // order. Round-robin slicing would still be deterministic but would make
+  // the equivalent serial order a permutation of seq order, needlessly
+  // complicating reasoning and tests.
   const auto planners = static_cast<std::size_t>(cfg_.planner_threads);
   const std::size_t chunk = (b.size() + planners - 1) / planners;
   const std::size_t begin = std::min<std::size_t>(id_ * chunk, b.size());

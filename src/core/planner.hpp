@@ -1,12 +1,11 @@
-// Planning phase: deterministic construction of priority-tagged fragment
+// Planning phase: deterministic construction of per-executor fragment
 // queues (paper Section 3.2, first phase).
 //
-// Planner `p` owns the batch slice { txns | seq % P == p } and walks it in
+// Planner `p` owns the p-th contiguous slice of the batch and walks it in
 // sequence order, routing every fragment to the execution queue of its home
-// partition's executor. Because each planner visits its transactions in seq
-// order and executors drain planner queues in planner-priority order, the
-// global replay order (planner, seq, frag idx) is consistent with sequence
-// order — the serial-equivalent order of the batch.
+// partition's executor. Executors drain the planners' queues in planner
+// order (pipeline::build), so the global replay order (planner, seq, frag
+// idx) is sequence order — the serial-equivalent order of the batch.
 //
 // Planning reads the batch, the catalog (each table's index kind, for
 // routing) and rows of replicated tables, which no transaction writes.

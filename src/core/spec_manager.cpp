@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
 #include <utility>
 
 #include "common/stats.hpp"
@@ -29,28 +28,6 @@ void group_by_seq(const std::vector<std::pair<seq_t, std::uint32_t>>& pairs,
   off[0] = 0;
 }
 
-/// Undo one executor-log entry: before-image for updates, unlink + free
-/// the slot for inserts, re-link for erases.
-void undo(storage::database& db, const exec_logs& log, const undo_entry& u) {
-  auto& tab = db.at(u.table);
-  switch (u.op) {
-    case txn::op_kind::update:
-      std::memcpy(tab.row(u.rid).data(), log.arena.data() + u.arena_offset,
-                  u.len);
-      break;
-    case txn::op_kind::insert:
-      tab.erase(u.key, storage::rid_shard(u.rid));
-      tab.retire_unindexed(u.rid);
-      break;
-    case txn::op_kind::erase:
-      tab.index_row(u.key, u.rid);
-      break;
-    case txn::op_kind::read:
-    case txn::op_kind::scan:
-      break;
-  }
-}
-
 /// Walk every log's undo entries newest-first, undoing those whose seq
 /// `pick` selects. A record's entries live in one log in sequence order,
 /// so this undoes each record's selected entries newest-first; distinct
@@ -60,8 +37,9 @@ template <typename Pick>
 void rollback(storage::database& db, std::span<exec_logs* const> logs,
               Pick pick) {
   for (const exec_logs* log : logs) {
-    for (auto it = log->undo.rbegin(); it != log->undo.rend(); ++it) {
-      if (pick(it->seq)) undo(db, *log, *it);
+    const auto& entries = log->undo.entries;
+    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+      if (pick(it->seq)) undo(db, log->undo, *it);
     }
   }
 }
@@ -138,7 +116,7 @@ std::uint32_t spec_manager::build_index(std::span<exec_logs* const> logs,
         accesses_.push_back({r.key, r.seq, r.table, kReadOnly});
       }
     }
-    for (const auto& u : logs[l]->undo) {
+    for (const auto& u : logs[l]->undo.entries) {
       accesses_.push_back({u.key, u.seq, u.table,
                            static_cast<std::uint16_t>(l)});
     }
@@ -294,13 +272,12 @@ recovery_stats spec_manager::recover(txn::batch& b,
 
   // --- 4. deterministic serial re-execution in sequence order -------------
   // Re-runs that logic-abort again roll themselves back inside
-  // run_txn_serially; dirty-read victims now commit with clean values.
-  // Every mutation is journaled so the pass can be unwound if escalation
-  // becomes necessary.
-  journal_.clear();
+  // run_txn_serially, truncating their entries from pass_log_; dirty-read
+  // victims now commit with clean values. pass_log_ thus holds exactly the
+  // committed re-runs' effects, which escalation unwinds.
+  pass_log_.clear();
   bool abort_flipped = false;
-  proto::inplace_host pass(db_, &extra_dirty_);
-  pass.set_journal(&journal_);
+  proto::inplace_host pass(db_, &extra_dirty_, &pass_log_);
   for (std::size_t i = 0; i < n; ++i) {
     if (!affected_[i]) continue;
     txn::txn_desc& t = b.at(i);
@@ -315,10 +292,7 @@ recovery_stats spec_manager::recover(txn::batch& b,
   stats.taint_nanos = t2 - t1;
   stats.rollback_nanos = t3 - t2;
   stats.reexec_nanos = t4 - t3;
-  if (!abort_flipped) {
-    pass.retire_rolled_back();
-    return stats;
-  }
+  if (!abort_flipped) return stats;
 
   // --- escalation: whole-batch deterministic re-execution ------------------
   // An abort flipped into a commit: the transaction may now produce writes
@@ -327,7 +301,7 @@ recovery_stats spec_manager::recover(txn::batch& b,
   // (together: every entry, newest first per record — the batch-start
   // state), and replay everything serially.
   stats.full_redo = true;
-  proto::unwind_journal(db_, journal_);
+  pass_log_.rollback_to(db_, 0);
   rollback(db_, logs, [&](seq_t s) { return affected_[s] == 0; });
   const std::uint64_t t5 = common::now_nanos();
 

@@ -31,22 +31,25 @@
 //     exceed t, then lowers it, so every list is walked once in total, not
 //     once per affected transaction.
 //  3. Rollback — each executor log's undo entries of affected transactions
-//     are applied newest-first: before-images for updates, unlink + free
-//     the slot for inserts, re-link for erases. This is correct because
-//     every record's undo entries sit in exactly one executor log, in
-//     sequence order: the planner routes every fragment of a record to one
-//     executor (core/planner.cpp), and dist-quecc keeps that per node. The
-//     index checks the invariant and counts violations (split_records).
-//     Slots are freed in log order, so free lists and rids replay
-//     deterministically.
+//     are reversed newest-first by core::undo, the one reverse function
+//     every rollback shares (core/exec_log.hpp): before-images for
+//     updates, unlink + free the slot for inserts, re-link for erases.
+//     This is correct because every record's undo entries sit in exactly
+//     one executor log, in sequence order: the planner routes every
+//     fragment of a record to one executor (core/planner.cpp), and
+//     dist-quecc keeps that per node. The index checks the invariant and
+//     counts violations (split_records). Slots are freed in log order, so
+//     free lists and rids replay deterministically.
 //  4. Deterministic re-execution — affected transactions re-run serially
-//     in sequence order against the repaired state; deterministic logic
-//     aborts repeat and stay aborted, dirty-read victims now commit with
-//     clean values.
-//  Escalation (rare) — if a re-run flips an abort into a commit, the
+//     in sequence order against the repaired state, through one
+//     inplace_host over an undo log kept for the whole pass; deterministic
+//     logic aborts repeat, stay aborted and roll back at once (freeing
+//     their inserted slots), so the log keeps only committed re-runs;
+//     dirty-read victims now commit with clean values.
+//  Escalation — if a re-run flips an abort into a commit, the
 //     transaction may now write records it never wrote originally, whose
-//     later readers were not tainted. The pass's effects are unwound via
-//     its journal, the unaffected transactions' undo entries are applied
+//     later readers were not tainted. The pass's log is rolled back to
+//     its start, the unaffected transactions' undo entries are applied
 //     newest-first too (edge (b) makes each record's affected entries a
 //     suffix of its log entries, so step 3 plus this is a complete
 //     newest-first undo — the batch-start state), and the batch is
@@ -73,7 +76,6 @@
 
 #include "common/phase_annotations.hpp"
 #include "core/exec_log.hpp"
-#include "protocols/local_host.hpp"
 #include "storage/database.hpp"
 #include "txn/batch.hpp"
 
@@ -160,7 +162,7 @@ class spec_manager {
   std::vector<std::uint32_t> wm_b_;  ///< edge (b) watermark into wr_seq_
   std::vector<std::uint8_t> affected_;
   std::vector<seq_t> worklist_;
-  proto::inplace_host::journal journal_;  ///< re-execution pass journal
+  undo_log pass_log_;  ///< re-execution pass: committed re-runs' effects
 };
 
 }  // namespace quecc::core

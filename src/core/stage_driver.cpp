@@ -63,6 +63,11 @@ void pipeline::build(const common::config& cfg, storage::database& db,
     for (worker_id_t p = 0; p < planner_n; ++p) {
       slot->plan_outs[p].resize(execs, rc);
     }
+    // Executor e drains planner 0's queue for it fully, then planner 1's,
+    // and so on. Planners own contiguous seq slices in planner order and
+    // fill each queue in seq order, so the global replay order (planner,
+    // queue position) is batch sequence order — the paradigm's
+    // serial-equivalent order.
     slot->exec_queues.resize(execs);
     for (worker_id_t e = 0; e < execs; ++e) {
       for (worker_id_t p = 0; p < planner_n; ++p) {
@@ -478,7 +483,7 @@ recovery_stats stage_driver::batch_epilogue(txn::batch& b,
       if (seen[table].insert(rid).second) committed_->publish(db_, table, rid);
     };
     for (auto& ex : pipe_.executors) {
-      for (const auto& u : ex->logs().undo) {
+      for (const auto& u : ex->logs().undo.entries) {
         if (u.op != txn::op_kind::erase) publish(u.table, u.rid);
       }
     }

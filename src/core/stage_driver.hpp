@@ -6,9 +6,9 @@
 // two deterministic phases:
 //
 //     client batch --> [planning phase: P planners build P*E
-//                       priority-tagged fragment queues]
+//                       fragment queues]
 //                  --> [execution phase: E executors drain queues in
-//                       priority order, FIFO within a queue]
+//                       planner order, FIFO within a queue]
 //                  --> [commit epilogue: speculative-abort recovery,
 //                       status marking, read-committed publish]
 //

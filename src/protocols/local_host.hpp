@@ -4,8 +4,9 @@
 // speculation manager's recovery pass).
 //
 // Always resolves records by key (robust to same-batch inserts/erases),
-// keeps an undo stack so a deterministic logic abort rolls the transaction
-// back immediately, and optionally records dirtied rows for read-committed
+// logs every mutation into a core::undo_log so a deterministic logic abort
+// rolls the transaction back immediately (rollback_to the mark taken at
+// begin_txn), and optionally records dirtied rows for read-committed
 // publishing.
 #pragma once
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/phase_annotations.hpp"
+#include "core/exec_log.hpp"
 #include "storage/database.hpp"
 #include "txn/procedure.hpp"
 
@@ -22,103 +24,28 @@ namespace quecc::proto {
 
 class inplace_host final : public txn::frag_host {
  public:
-  /// One mutation, reversed by unwinding.
-  struct journal_entry {
-    table_id_t table;
-    key_t key;
-    storage::row_id_t rid;
-    txn::op_kind op;
-    /// Updates only: offset of the row's before-image (one full row) in
-    /// the owning journal's `bytes`.
-    std::size_t before = 0;
-    /// Inserts only: the entry allocated `rid`, so unwinding it frees the
-    /// slot. A rollback's re-link of an erased key is journaled as an
-    /// insert too, but its slot stays allocated (erased slots are never
-    /// reused).
-    bool allocated = false;
-  };
-
-  /// Mutations in order, with every before-image in one byte arena so
-  /// recording allocates nothing once capacity is reached.
-  struct journal {
-    std::vector<journal_entry> entries;
-    std::vector<std::byte> bytes;
-
-    void add(table_id_t table, key_t key, storage::row_id_t rid,
-             txn::op_kind op, std::span<const std::byte> image = {},
-             bool allocated = false) {
-      entries.push_back({table, key, rid, op, bytes.size(), allocated});
-      bytes.insert(bytes.end(), image.begin(), image.end());
-    }
-    void clear() noexcept {
-      entries.clear();
-      bytes.clear();
-    }
-  };
-
+  /// Without `kept`, the host logs into its own log, cleared by every
+  /// begin_txn(). With it, every transaction logs into `kept`, which the
+  /// host never clears: a rolled-back transaction truncates its own
+  /// entries, so `kept` holds exactly the committed transactions' effects
+  /// since its owner last cleared it, and rollback_to(db, 0) unwinds them.
   explicit inplace_host(
       storage::database& db,
-      std::vector<std::pair<table_id_t, storage::row_id_t>>* dirty = nullptr)
-      : db_(db), dirty_(dirty) {}
+      std::vector<std::pair<table_id_t, storage::row_id_t>>* dirty = nullptr,
+      core::undo_log* kept = nullptr)
+      : db_(db), dirty_(dirty), log_(kept != nullptr ? kept : &own_) {}
+  // log_ may point into this object.
+  inplace_host(const inplace_host&) = delete;
+  inplace_host& operator=(const inplace_host&) = delete;
 
-  /// Record every mutation (including rollback restores) into `j`, never
-  /// cleared by begin_txn(). Reverse-applying the journal restores the
-  /// database to its state when the journal was attached — the speculation
-  /// manager uses this to unwind a recovery pass that needs escalation.
-  void set_journal(journal* j) noexcept { journal_ = j; }
-
-  /// Free the slots of inserts rolled back while a journal was attached,
-  /// in rollback order. Until then they stay allocated: unwinding the
-  /// journal re-links each key to its slot before unwinding the insert,
-  /// which frees it once.
-  void retire_rolled_back() {
-    for (const auto& [table, rid] : rolled_back_) {
-      db_.at(table).retire_unindexed(rid);
-    }
-    rolled_back_.clear();
+  void begin_txn() noexcept {
+    if (log_ == &own_) own_.clear();
+    mark_ = log_->size();
   }
 
-  void begin_txn() { undo_.clear(); }
-
-  /// Undo every effect since begin_txn(), newest first. A rolled-back
-  /// insert frees its slot (deferred to retire_rolled_back() while a
-  /// journal is attached).
-  void rollback_txn() {
-    for (auto it = undo_.entries.rbegin(); it != undo_.entries.rend(); ++it) {
-      auto& tab = db_.at(it->table);
-      switch (it->op) {
-        case txn::op_kind::update: {
-          auto row = tab.row(it->rid);
-          if (journal_ != nullptr) {
-            journal_->add(it->table, it->key, it->rid, txn::op_kind::update,
-                          row);
-          }
-          std::memcpy(row.data(), undo_.bytes.data() + it->before,
-                      row.size());
-          break;
-        }
-        case txn::op_kind::insert:
-          tab.erase(it->key, storage::rid_shard(it->rid));
-          if (journal_ != nullptr) {
-            journal_->add(it->table, it->key, it->rid, txn::op_kind::erase);
-            rolled_back_.emplace_back(it->table, it->rid);
-          } else {
-            tab.retire_unindexed(it->rid);
-          }
-          break;
-        case txn::op_kind::erase:
-          if (journal_ != nullptr) {
-            journal_->add(it->table, it->key, it->rid, txn::op_kind::insert);
-          }
-          tab.index_row(it->key, it->rid);
-          break;
-        case txn::op_kind::read:
-        case txn::op_kind::scan:
-          break;
-      }
-    }
-    undo_.clear();
-  }
+  /// Undo every effect since begin_txn(), newest first; a rolled-back
+  /// insert frees its slot.
+  void rollback_txn() { log_->rollback_to(db_, mark_); }
 
   EXEC_PHASE std::span<const std::byte> read_row(const txn::fragment& f,
                                                  txn::txn_desc&) override {
@@ -130,21 +57,18 @@ class inplace_host final : public txn::frag_host {
   }
 
   EXEC_PHASE std::span<std::byte> update_row(const txn::fragment& f,
-                                             txn::txn_desc&) override {
+                                             txn::txn_desc& t) override {
     auto& tab = db_.at(f.table);
     const auto rid = tab.lookup(f.key, f.part);
     if (rid == storage::kNoRow) return {};
     auto row = tab.row(rid);
-    undo_.add(f.table, f.key, rid, txn::op_kind::update, row);
-    if (journal_ != nullptr) {
-      journal_->add(f.table, f.key, rid, txn::op_kind::update, row);
-    }
+    log_->add(t.seq, f.table, f.key, rid, txn::op_kind::update, row);
     if (dirty_ != nullptr) dirty_->emplace_back(f.table, rid);
     return row;
   }
 
   EXEC_PHASE std::span<std::byte> insert_row(const txn::fragment& f,
-                                             txn::txn_desc&) override {
+                                             txn::txn_desc& t) override {
     auto& tab = db_.at(f.table);
     const auto rid = tab.allocate_row(f.part);
     auto row = tab.row(rid);
@@ -153,23 +77,18 @@ class inplace_host final : public txn::frag_host {
       tab.retire_unindexed(rid);  // duplicate key: recycle the slot
       return {};
     }
-    undo_.add(f.table, f.key, rid, txn::op_kind::insert, {}, true);
-    if (journal_ != nullptr) {
-      journal_->add(f.table, f.key, rid, txn::op_kind::insert, {}, true);
-    }
+    log_->add(t.seq, f.table, f.key, rid, txn::op_kind::insert);
     if (dirty_ != nullptr) dirty_->emplace_back(f.table, rid);
     return row;
   }
 
-  EXEC_PHASE bool erase_row(const txn::fragment& f, txn::txn_desc&) override {
+  EXEC_PHASE bool erase_row(const txn::fragment& f,
+                            txn::txn_desc& t) override {
     auto& tab = db_.at(f.table);
     const auto rid = tab.lookup(f.key, f.part);
     if (rid == storage::kNoRow) return false;
     if (!tab.erase(f.key, f.part)) return false;
-    undo_.add(f.table, f.key, rid, txn::op_kind::erase);
-    if (journal_ != nullptr) {
-      journal_->add(f.table, f.key, rid, txn::op_kind::erase);
-    }
+    log_->add(t.seq, f.table, f.key, rid, txn::op_kind::erase);
     return true;
   }
 
@@ -210,40 +129,10 @@ class inplace_host final : public txn::frag_host {
  private:
   storage::database& db_;
   std::vector<std::pair<table_id_t, storage::row_id_t>>* dirty_;
-  journal undo_;                 ///< per-txn, cleared by begin_txn
-  journal* journal_ = nullptr;  ///< external, persistent
-  /// Slots of journaled insert rollbacks, awaiting retire_rolled_back().
-  std::vector<std::pair<table_id_t, storage::row_id_t>> rolled_back_;
+  core::undo_log own_;
+  core::undo_log* log_;   ///< &own_, or the caller's kept log
+  std::size_t mark_ = 0;  ///< log_->size() at begin_txn
 };
-
-/// Reverse-apply a journal (newest first), restoring the database to its
-/// state when the journal was attached. Unwound inserts free the slots
-/// they allocated, in unwind order; the host's deferred rollback slots
-/// must then be dropped, not retired (unwinding re-linked their keys and
-/// then unwound the inserts, which freed them here).
-inline void unwind_journal(storage::database& db,
-                           const inplace_host::journal& j) {
-  for (auto it = j.entries.rbegin(); it != j.entries.rend(); ++it) {
-    auto& tab = db.at(it->table);
-    switch (it->op) {
-      case txn::op_kind::update: {
-        const auto row = tab.row(it->rid);
-        std::memcpy(row.data(), j.bytes.data() + it->before, row.size());
-        break;
-      }
-      case txn::op_kind::insert:
-        tab.erase(it->key, storage::rid_shard(it->rid));
-        if (it->allocated) tab.retire_unindexed(it->rid);
-        break;
-      case txn::op_kind::erase:
-        tab.index_row(it->key, it->rid);
-        break;
-      case txn::op_kind::read:
-      case txn::op_kind::scan:
-        break;
-    }
-  }
-}
 
 /// Run one transaction's fragments in index order against `host`.
 /// Returns true when the transaction committed, false on logic abort

@@ -3,7 +3,7 @@
 #include <cstring>
 
 #include "common/spinlock.hpp"
-#include "protocols/local_host.hpp"
+#include "core/exec_log.hpp"
 
 namespace quecc::proto {
 
@@ -46,7 +46,7 @@ class twopl_ctx final : public worker_ctx, public txn::frag_host {
   }
 
   void abort_attempt(txn::txn_desc& t) override {
-    rollback(t);
+    rollback();
     release_all();
     if (t.aborted()) ts_ = 0;  // logic abort is final; next txn re-stamps
   }
@@ -62,19 +62,18 @@ class twopl_ctx final : public worker_ctx, public txn::frag_host {
   }
 
   std::span<std::byte> update_row(const txn::fragment& f,
-                                  txn::txn_desc&) override {
+                                  txn::txn_desc& t) override {
     auto& tab = db_.at(f.table);
     const auto rid = tab.lookup(f.key, f.part);
     if (rid == storage::kNoRow) return {};
     if (!acquire(f.table, rid, lock_mode::exclusive)) return {};
     auto row = tab.row(rid);
-    undo_.push_back({f.table, f.key, rid, txn::op_kind::update,
-                     {row.begin(), row.end()}});
+    undo_.add(t.seq, f.table, f.key, rid, txn::op_kind::update, row);
     return row;
   }
 
   std::span<std::byte> insert_row(const txn::fragment& f,
-                                  txn::txn_desc&) override {
+                                  txn::txn_desc& t) override {
     auto& tab = db_.at(f.table);
     const auto rid = tab.allocate_row(f.part);
     auto row = tab.row(rid);
@@ -96,17 +95,17 @@ class twopl_ctx final : public worker_ctx, public txn::frag_host {
       cc_failed_ = true;  // treat as conflict and retry
       return {};
     }
-    undo_.push_back({f.table, f.key, rid, txn::op_kind::insert, {}});
+    undo_.add(t.seq, f.table, f.key, rid, txn::op_kind::insert);
     return row;
   }
 
-  bool erase_row(const txn::fragment& f, txn::txn_desc&) override {
+  bool erase_row(const txn::fragment& f, txn::txn_desc& t) override {
     auto& tab = db_.at(f.table);
     const auto rid = tab.lookup(f.key, f.part);
     if (rid == storage::kNoRow) return false;
     if (!acquire(f.table, rid, lock_mode::exclusive)) return false;
     if (!tab.erase(f.key, f.part)) return false;
-    undo_.push_back({f.table, f.key, rid, txn::op_kind::erase, {}});
+    undo_.add(t.seq, f.table, f.key, rid, txn::op_kind::erase);
     return true;
   }
 
@@ -116,14 +115,6 @@ class twopl_ctx final : public worker_ctx, public txn::frag_host {
     storage::row_id_t rid;
     lock_mode mode;
   };
-  struct undo_rec {
-    table_id_t table;
-    key_t key;
-    storage::row_id_t rid;
-    txn::op_kind op;
-    std::vector<std::byte> before;
-  };
-
   held_lock* find_held(table_id_t table, storage::row_id_t rid) {
     for (auto& h : held_) {
       if (h.table == table && h.rid == rid) return &h;
@@ -215,23 +206,17 @@ class twopl_ctx final : public worker_ctx, public txn::frag_host {
     held_.clear();
   }
 
-  void rollback(txn::txn_desc&) {
-    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-      auto& tab = db_.at(it->table);
-      switch (it->op) {
-        case txn::op_kind::update:
-          std::memcpy(tab.row(it->rid).data(), it->before.data(),
-                      it->before.size());
-          break;
-        case txn::op_kind::insert:
-          tab.erase(it->key, storage::rid_shard(it->rid));
-          break;
-        case txn::op_kind::erase:
-          tab.index_row(it->key, it->rid);
-          break;
-        case txn::op_kind::read:
-        case txn::op_kind::scan:
-          break;
+  /// Undo newest first while every latch is still held. A rolled-back
+  /// insert only unlinks its key and keeps its slot: another worker may
+  /// have looked the key up and still touch the slot's latch, so the slot
+  /// must never be recycled (table::retire_unindexed).
+  void rollback() {
+    const auto& entries = undo_.entries;
+    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+      if (it->op == txn::op_kind::insert) {
+        db_.at(it->table).erase(it->key, storage::rid_shard(it->rid));
+      } else {
+        core::undo(db_, undo_, *it);
       }
     }
     undo_.clear();
@@ -243,7 +228,7 @@ class twopl_ctx final : public worker_ctx, public txn::frag_host {
   std::uint64_t ts_ = 0;
   bool cc_failed_ = false;
   std::vector<held_lock> held_;
-  std::vector<undo_rec> undo_;
+  core::undo_log undo_;
 };
 
 }  // namespace

@@ -10,8 +10,9 @@
 //   * the one-log-per-record invariant holds under read-committed,
 //     kAllParts scans and dist-quecc with two nodes;
 //   * rolled-back inserts free their row slots (TPC-C full mix, depths 1
-//     and 2), and the journaled rollback / unwind path frees each slot
-//     exactly once.
+//     and 2), and an inplace_host over a kept undo log (the recovery
+//     pass's) frees each slot exactly once, whether or not the log is
+//     unwound afterwards.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -148,23 +149,20 @@ struct spec_exec {
   void update(seq_t s, key_t k, std::uint64_t v) {
     const auto rid = tab.lookup(k);
     const auto row = tab.row(rid);
-    log.undo.push_back({s, 0, k, rid, txn::op_kind::update,
-                        static_cast<std::uint32_t>(log.arena.size()),
-                        static_cast<std::uint32_t>(row.size())});
-    log.arena.insert(log.arena.end(), row.begin(), row.end());
+    log.undo.add(s, 0, k, rid, txn::op_kind::update, row);
     storage::write_u64(row, 0, v);
   }
   storage::row_id_t insert(seq_t s, key_t k, std::uint64_t v) {
     const auto rid = tab.allocate_row();
     storage::write_u64(tab.row(rid), 0, v);
     tab.index_row(k, rid);
-    log.undo.push_back({s, 0, k, rid, txn::op_kind::insert, 0, 0});
+    log.undo.add(s, 0, k, rid, txn::op_kind::insert);
     return rid;
   }
   void erase(seq_t s, key_t k) {
     const auto rid = tab.lookup(k);
     tab.erase(k);
-    log.undo.push_back({s, 0, k, rid, txn::op_kind::erase, 0, 0});
+    log.undo.add(s, 0, k, rid, txn::op_kind::erase);
   }
   void read(seq_t s, key_t k) { log.reads.push_back({s, 0, k}); }
 };
@@ -287,26 +285,22 @@ TEST(SpecManager, CountsRecordsSplitAcrossLogs) {
   EXPECT_EQ(sm.recover(b, logs).split_records, 1u);
 }
 
-// --- journaled rollback frees each slot once ----------------------------------
+// --- inplace_host over a kept undo log frees each slot once -----------------
 
-TEST(InplaceHost, JournaledInsertRollbackFreesItsSlotOnce) {
+TEST(InplaceHost, KeptLogInsertRollbackFreesItsSlotOnce) {
   for (const bool unwind : {false, true}) {
     auto db = make_db();
     auto& tab = db->at(0);
-    proto::inplace_host::journal journal;
-    proto::inplace_host host(*db);
-    host.set_journal(&journal);
+    core::undo_log kept;
+    proto::inplace_host host(*db, nullptr, &kept);
     txn::txn_desc t;
     host.begin_txn();
     const auto f = frag(0, kInsert, 9, 99);
     ASSERT_FALSE(host.insert_row(f, t).empty());
     host.rollback_txn();
     EXPECT_EQ(tab.lookup(9), storage::kNoRow);
-    if (unwind) {
-      proto::unwind_journal(*db, journal);  // the deferred slot is dropped
-    } else {
-      host.retire_rolled_back();
-    }
+    EXPECT_EQ(kept.size(), 0u);  // the rolled-back insert left no entry
+    if (unwind) kept.rollback_to(*db, 0);
     EXPECT_EQ(tab.allocated_rows(), tab.live_rows()) << "unwind=" << unwind;
     // Freed exactly once: two allocations get two distinct slots.
     EXPECT_NE(tab.allocate_row(), tab.allocate_row()) << "unwind=" << unwind;
@@ -317,19 +311,59 @@ TEST(InplaceHost, UnwindingAnEraseRollbackKeepsTheSlotAllocated) {
   auto db = make_db();
   auto& tab = db->at(0);
   const auto rid = tab.lookup(1);
-  proto::inplace_host::journal journal;
-  proto::inplace_host host(*db);
-  host.set_journal(&journal);
+  core::undo_log kept;
+  proto::inplace_host host(*db, nullptr, &kept);
   txn::txn_desc t;
   host.begin_txn();
   txn::fragment f = frag(0, kAdd, 1);
   f.kind = txn::op_kind::erase;
   ASSERT_TRUE(host.erase_row(f, t));
   host.rollback_txn();
-  proto::unwind_journal(*db, journal);
+  kept.rollback_to(*db, 0);
   EXPECT_EQ(tab.lookup(1), rid);
   EXPECT_EQ(tab.allocated_rows(), 2u);
   EXPECT_NE(tab.allocate_row(), rid);  // not on the free list
+}
+
+// A re-run insert rolls back and frees its slot at once; a later committed
+// insert in the same kept log reuses the slot. Unwinding the log then frees
+// that slot exactly once and restores the pre-pass state.
+TEST(InplaceHost, KeptLogReusesARolledBackSlotAndUnwindsCleanly) {
+  auto db = make_db();
+  auto& tab = db->at(0);
+  const auto before = db->state_hash();
+  core::undo_log kept;
+  proto::inplace_host host(*db, nullptr, &kept);
+  txn::txn_desc t;
+
+  host.begin_txn();  // committed re-run: key 2 = 7
+  storage::write_u64(host.update_row(frag(0, kAdd, 2), t), 0, 7);
+  const std::size_t image_bytes = kept.images.size();
+  EXPECT_GT(image_bytes, 0u);
+
+  host.begin_txn();  // aborted re-run: key 1 = 111, insert key 8
+  storage::write_u64(host.update_row(frag(0, kAdd, 1), t), 0, 111);
+  ASSERT_FALSE(host.insert_row(frag(1, kInsert, 8), t).empty());
+  const auto aborted_slot = tab.lookup(8);
+  EXPECT_EQ(kept.images.size(), 2 * image_bytes);
+  host.rollback_txn();
+  EXPECT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept.images.size(), image_bytes);  // its before-image dropped
+  EXPECT_EQ(value_of(*db, 1), 100u);
+  EXPECT_EQ(tab.lookup(8), storage::kNoRow);
+
+  host.begin_txn();  // committed re-run: insert key 9 into the freed slot
+  ASSERT_FALSE(host.insert_row(frag(0, kInsert, 9), t).empty());
+  EXPECT_EQ(tab.lookup(9), aborted_slot);
+  EXPECT_EQ(kept.size(), 2u);
+
+  kept.rollback_to(*db, 0);
+  EXPECT_EQ(kept.size(), 0u);
+  EXPECT_TRUE(kept.images.empty());
+  EXPECT_EQ(value_of(*db, 2), 100u);
+  EXPECT_EQ(db->state_hash(), before);
+  EXPECT_EQ(tab.allocated_rows(), tab.live_rows());
+  EXPECT_NE(tab.allocate_row(), tab.allocate_row());
 }
 
 // --- end to end ---------------------------------------------------------------
@@ -731,13 +765,17 @@ TEST_P(PlanTimeAborts, MatchSerialWithoutRecoveryOrCommitWaits) {
   const engine_run run_time = run_case(c, *db_run_time, batches);
   EXPECT_EQ(got.hash, run_time.hash);
   const bool spec = c.exec == exec_model::speculative;
-  if (spec) EXPECT_GT(run_time.last_logic_aborts, 0u);
+  if (spec) {
+    EXPECT_GT(run_time.last_logic_aborts, 0u);
+  }
   // Read-committed read-queue results are not serial-equivalent. On the
   // speculative run-time path they also differ: recovery re-executes
   // tainted transactions against the working rows, read-queue reads
   // included. Only the state is comparable there.
   const bool rc = c.iso == isolation::read_committed;
-  if (!(rc && spec)) EXPECT_EQ(got.fingerprints, run_time.fingerprints);
+  if (!(rc && spec)) {
+    EXPECT_EQ(got.fingerprints, run_time.fingerprints);
+  }
 
   for (auto& b : batches) testutil::replay_in_seq_order(*db_serial, b);
   EXPECT_EQ(got.hash, db_serial->state_hash());
