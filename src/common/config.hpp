@@ -78,7 +78,9 @@ struct config {
   // --- admission (async client path) -------------------------------------
   /// A batch former closes a batch on `batch_size` *or* this timer,
   /// whichever fires first, so a trickle of submissions still commits
-  /// promptly (0 = close immediately with whatever has arrived).
+  /// promptly (0 = close immediately with whatever has arrived). The timer
+  /// is anchored at the oldest queued transaction's admission, so it bounds
+  /// queue residence time, not time since the former noticed the batch.
   std::uint32_t batch_deadline_micros = 2000;
   /// Bounded depth of the client admission queue; submit() blocks when the
   /// queue is full (backpressure instead of unbounded memory growth).

@@ -1,5 +1,6 @@
 #include "core/admission.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -79,11 +80,16 @@ std::vector<admitted_txn> admission_queue::pop_batch(
   while (q_.empty() && !closed_) not_empty_.wait(lk);
   if (q_.empty()) return out;  // closed and drained
 
-  // The deadline is anchored at the moment the batch's first transaction
-  // is observed, so a partial batch closes at most `deadline_micros` after
-  // forming began regardless of later arrivals.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(deadline_micros);
+  // The deadline is anchored at the oldest transaction's admission stamp,
+  // not at the moment the former first sees it: transactions that queued
+  // while the consumer was busy elsewhere have already spent part of their
+  // budget. Stamps share common::now_nanos's steady clock; the min guards
+  // against caller-supplied stamps in the future.
+  const std::uint64_t anchor =
+      std::min(common::now_nanos(), q_.front().submit_nanos);
+  const auto deadline = std::chrono::steady_clock::time_point(
+      std::chrono::nanoseconds(anchor) +
+      std::chrono::microseconds(deadline_micros));
   for (;;) {
     const bool drained = !q_.empty() && out.size() < max;
     while (!q_.empty() && out.size() < max) {
@@ -166,8 +172,8 @@ batch_former::formed batch_former::next() {
   for (auto& e : entries) {
     // Plans are validated at admission (proto::session::prepare), not
     // here: re-validating every transaction on the single consumer thread
-    // would sit on the pump's critical path, and a throw from this thread
-    // would terminate the process rather than fail one submission.
+    // would sit on the submitter's critical path, and a throw from this
+    // thread would terminate the process rather than fail one submission.
     f.batch.add(std::move(e.txn));
     f.tickets.push_back(std::move(e.ticket));
     f.submit_nanos.push_back(e.submit_nanos);

@@ -7,9 +7,11 @@
 // not unbounded memory), and a batch former closes a batch when either
 // `config::batch_size` transactions have arrived or the
 // `config::batch_deadline_micros` timer fires, whichever comes first. The
-// deadline bounds the residence time of a trickle of transactions: a
-// partial batch commits promptly instead of waiting forever for the batch
-// to fill. Admission order *is* the batch sequence order, so the
+// deadline counts from the oldest queued transaction's admission stamp, so
+// it bounds a transaction's residence time in the queue: a partial batch
+// commits promptly instead of waiting forever for the batch to fill, and a
+// transaction that queued while the consumer was busy is not charged a
+// fresh deadline on top. Admission order *is* the batch sequence order, so the
 // serial-equivalent order of the whole system is simply arrival order.
 #pragma once
 
@@ -28,23 +30,24 @@
 
 namespace quecc::core {
 
-/// Completion record shared between a client and the batch pump. The pump
-/// fills it when the transaction's batch commits; clients block in wait().
+/// Completion record shared between a client and the session's completer
+/// thread, which fills it once the transaction's batch is drained and
+/// durable; clients block in wait().
 ///
-/// Lock-free by design (one producer, the pump; readers gated on `done`):
-/// the plain fields are written before the release store of `done`, and
-/// clients acquire-load `done` before reading them — a classic
+/// Lock-free by design (one producer, the completer; readers gated on
+/// `done`): the plain fields are written before the release store of
+/// `done`, and clients acquire-load `done` before reading them — a classic
 /// publish/subscribe edge, so no GUARDED_BY applies.
 struct ticket_state {
   std::atomic<std::uint32_t> done{0};
   txn::txn_status status = txn::txn_status::active;
   std::uint64_t queue_nanos = 0;  ///< submit -> batch execution start
-  std::uint64_t e2e_nanos = 0;    ///< submit -> batch commit
+  std::uint64_t e2e_nanos = 0;    ///< submit -> durable ack
   /// Value-slot snapshot taken at batch commit — the transaction's results
-  /// outlive the batch (which the pump recycles immediately).
+  /// outlive the batch (which the completer recycles immediately).
   std::vector<std::uint64_t> slots;
 
-  /// Pump side: publish the outcome and wake every waiter. The plain
+  /// Completer side: publish the outcome and wake every waiter. The plain
   /// fields above must be written before this is called.
   void complete(txn::txn_status s, std::uint64_t queue_ns,
                 std::uint64_t e2e_ns) noexcept {
@@ -77,7 +80,7 @@ struct admitted_txn {
 ///
 /// Producers (any number of client threads) submit; one consumer — the
 /// batch former — drains. Blocking submit provides backpressure: when the
-/// queue holds `capacity` transactions the caller waits until the pump
+/// queue holds `capacity` transactions the caller waits until the former
 /// catches up, which is the knob that keeps an overloaded open-loop run
 /// from buffering the whole offered load in memory.
 class admission_queue {
@@ -101,9 +104,11 @@ class admission_queue {
 
   /// Consumer side: block until at least one transaction is available (or
   /// the queue is closed and drained, returning an empty vector), then
-  /// collect up to `max` transactions, waiting at most `deadline_micros`
-  /// after the first one was observed. This is the batch former's
-  /// size-or-deadline race.
+  /// collect up to `max` transactions, waiting at most until
+  /// `deadline_micros` after the oldest one's admission stamp (counted from
+  /// now instead when that stamp lies in the future). This is the batch
+  /// former's size-or-deadline race; a transaction that queued while the
+  /// consumer was busy closes its batch as soon as its budget is spent.
   std::vector<admitted_txn> pop_batch(std::uint32_t max,
                                       std::uint32_t deadline_micros);
 
@@ -162,7 +167,7 @@ class batch_former {
   /// admitting transactions directly must validate them themselves.
   formed next();
 
-  /// Safe to read from any thread (e.g. while the pump is running).
+  /// Safe to read from any thread (e.g. while a session is running).
   std::uint32_t batches_formed() const noexcept {
     // relaxed: monotonic stat counter, no ordering with batch contents.
     return next_id_.load(std::memory_order_relaxed);

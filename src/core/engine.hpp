@@ -29,6 +29,9 @@ class quecc_engine final : public proto::engine {
   void sync_durable() override { driver_.sync_durable(); }
 
   log::log_writer* wal() const noexcept { return driver_.wal(); }
+  const stage_driver::record_lsns& drained_lsns() const noexcept {
+    return driver_.drained_lsns();
+  }
   const recovery_stats& last_recovery() const noexcept {
     return driver_.last_recovery();
   }

@@ -249,9 +249,11 @@ void stage_driver::submit_batch(txn::batch& b, common::run_metrics& m) {
     drain_batch();
   }
   batch_slot* sp;
+  std::uint64_t n;
   {
     common::mutex_lock lk(mu_);
-    sp = pipe_.slots[submitted_ % cfg_.pipeline_depth].get();
+    n = submitted_;
+    sp = pipe_.slots[n % cfg_.pipeline_depth].get();
     batch_slot& s = *sp;
     s.batch = &b;
     s.metrics = &m;
@@ -272,8 +274,15 @@ void stage_driver::submit_batch(txn::batch& b, common::run_metrics& m) {
   // appending overlap the planning the workers just started (the codec
   // reads no field planners write). A small batch can therefore retire —
   // commit record appended — before this append lands, which is why
-  // sync_durable() waits for the batch record too.
-  if (wal_) sp->batch_lsn = log_batch_record(b);
+  // sync_durable() waits for the batch record too. The lsn is published
+  // under mu_: a drain on another thread waits for it (logged_).
+  if (wal_) {
+    const std::uint64_t lsn = log_batch_record(b);
+    common::mutex_lock lk(mu_);
+    sp->batch_lsn = lsn;
+    logged_ = n + 1;
+    cv_.notify_all();
+  }
 }
 
 void stage_driver::epilogue_main() {
@@ -387,7 +396,7 @@ void stage_driver::run_epilogue(std::uint64_t n) {
 
   {
     common::mutex_lock lk(mu_);
-    if (wal_) last_commit_lsn_ = commit_lsn;
+    s.commit_lsn = commit_lsn;
     epilogue_done_ = n + 1;
     cv_.notify_all();
   }
@@ -406,13 +415,18 @@ bool stage_driver::drain_batch() {
     } else {
       while (exec_done_ <= n) cv_.wait(lk);
     }
+    // A submitter on another thread may still be appending the batch
+    // record after it published the slot.
+    if (wal_) {
+      while (logged_ <= n) cv_.wait(lk);
+    }
     sp = pipe_.slots[n % cfg_.pipeline_depth].get();
   }
   if (!use_async_epilogue_) run_epilogue(n);
-  drained_batch_lsn_ = sp->batch_lsn;
 
   {
     common::mutex_lock lk(mu_);
+    drained_lsns_ = {sp->batch_lsn, sp->commit_lsn};
     sp->batch = nullptr;
     sp->metrics = nullptr;
     drained_ = n + 1;  // frees the slot for submit_batch
@@ -565,13 +579,12 @@ std::uint64_t stage_driver::log_commit_record(const txn::batch& b) {
 }
 
 void stage_driver::sync_durable() {
-  if (!wal_) return;
-  std::uint64_t lsn;
-  {
-    common::mutex_lock lk(mu_);
-    lsn = last_commit_lsn_;
+  // Both records of the drained batch: a small batch can retire before its
+  // batch record lands (see submit_batch). Earlier batches' records all
+  // precede the later of the two.
+  if (wal_) {
+    wal_->wait_durable(std::max(drained_lsns_.batch, drained_lsns_.commit));
   }
-  wal_->wait_durable(std::max(lsn, drained_batch_lsn_));
 }
 
 }  // namespace quecc::core

@@ -105,9 +105,14 @@ struct batch_slot {
   std::uint64_t ready_nanos = 0;       ///< plan window end
   std::uint64_t exec_start_nanos = 0;  ///< exec window start
   std::uint64_t exec_end_nanos = 0;    ///< exec window end
-  /// End lsn of the slot's batch record (durable runs). Touched only by
-  /// the submit/drain thread, so it needs no lock.
+  /// End lsn of the slot's batch record (durable runs). submit_batch
+  /// writes it under the driver's mu_ and advances logged_; drain_batch
+  /// waits for logged_ and reads it under mu_, so submitter and drainer
+  /// may be different threads.
   std::uint64_t batch_lsn = 0;
+  /// End lsn of the slot's commit record (durable runs), written under mu_
+  /// before epilogue_done_ advances.
+  std::uint64_t commit_lsn = 0;
   std::atomic<std::uint64_t> plan_busy_nanos{0};
   std::atomic<std::uint64_t> exec_busy_nanos{0};
   std::atomic<std::uint32_t> plan_pending{0};  ///< planners yet to finish
@@ -174,7 +179,12 @@ class stage_driver {
   /// The proto::engine pipelined batch API (see iface.hpp). submit_batch
   /// hands `b` to the planning stage; if every slot is occupied, it
   /// retires the oldest batch first (same thread, equivalent to the
-  /// caller invoking drain_batch).
+  /// caller invoking drain_batch). Callers are either one thread doing
+  /// both, or one submitter plus one drainer (which also calls
+  /// sync_durable); the submitter then keeps at most pipeline_depth()
+  /// batches undrained, so submit_batch never drains on its behalf. The
+  /// drainer may retire a batch whose submit_batch call has not returned
+  /// yet: drain_batch waits for the batch record's lsn (logged_).
   void run_batch(txn::batch& b, common::run_metrics& m);
   void submit_batch(txn::batch& b, common::run_metrics& m);
   bool drain_batch();
@@ -184,8 +194,17 @@ class stage_driver {
 
   /// Durable barrier: block until the batch and commit records of the most
   /// recent *drained* batch are fsynced (no-op when cfg.durable is off).
-  /// Call from the submit/drain thread. See iface.hpp.
+  /// Call from the thread that drains. See iface.hpp.
   void sync_durable();
+
+  /// End lsns of the most recent drained batch's batch and commit records:
+  /// the targets sync_durable() waits for (zeros when cfg.durable is off).
+  /// Drain-thread state, like sync_durable (tests).
+  struct record_lsns {
+    std::uint64_t batch = 0;
+    std::uint64_t commit = 0;
+  };
+  const record_lsns& drained_lsns() const noexcept { return drained_lsns_; }
 
   /// The command log, when cfg.durable enabled one (tests/introspection).
   log::log_writer* wal() const noexcept { return wal_.get(); }
@@ -242,7 +261,8 @@ class stage_driver {
   // Planners advance on submitted_, executors on ready_ (gated by
   // published_ so execution stays sequential across slots and never
   // overtakes the previous batch's state-mutating epilogue half), the
-  // epilogue stage on exec_done_, the drain path on epilogue_done_. All
+  // epilogue stage on exec_done_, the drain path on epilogue_done_ (and,
+  // durable, on logged_ for the slot's batch_lsn). All
   // guarded by mu_; cv_ carries every hand-off. The batch_slot fields
   // themselves are published *through* these counters (written before the
   // counter advance under mu_, read after observing it), which is why they
@@ -261,6 +281,9 @@ class stage_driver {
   /// drain_batch waits here.
   std::uint64_t epilogue_done_ GUARDED_BY(mu_) = 0;
   std::uint64_t drained_ GUARDED_BY(mu_) = 0;  ///< retired (slot freed)
+  /// Batches whose batch record is appended and batch_lsn published
+  /// (durable runs only).
+  std::uint64_t logged_ GUARDED_BY(mu_) = 0;
   bool stop_ GUARDED_BY(mu_) = false;
 
   // Epilogue-owner state: touched only by run_epilogue, which runs on
@@ -276,13 +299,9 @@ class stage_driver {
   // --- durability (cfg_.durable; see src/log/) ---------------------------
   std::unique_ptr<log::log_writer> wal_;
   std::unique_ptr<log::checkpointer> ckpt_;
-  /// Lsn of the newest *retired* batch's commit record — the wait target
-  /// for sync_durable(), which runs on the submit/drain thread while the
-  /// epilogue worker keeps publishing new lsns.
-  std::uint64_t last_commit_lsn_ GUARDED_BY(mu_) = 0;
-  /// End lsn of the newest drained batch's batch record, the other
-  /// sync_durable() target (submit/drain-thread state).
-  std::uint64_t drained_batch_lsn_ = 0;
+  /// Record lsns of the newest drained batch, copied from its slot under
+  /// mu_ by drain_batch (drain-thread state).
+  record_lsns drained_lsns_;
   // Epilogue-owner state (see above).
   std::uint64_t durable_stream_pos_ = 0;  ///< cumulative txns logged
   std::uint32_t batches_since_ckpt_ = 0;

@@ -62,6 +62,10 @@ class dist_quecc_engine final : public proto::engine,
   void sync_durable() override { driver_.sync_durable(); }
 
   const placement& cluster() const noexcept { return pl_; }
+  log::log_writer* wal() const noexcept { return driver_.wal(); }
+  const core::stage_driver::record_lsns& drained_lsns() const noexcept {
+    return driver_.drained_lsns();
+  }
   const core::phase_stats& last_phases() const noexcept {
     return driver_.last_phases();
   }

@@ -122,7 +122,7 @@ run_result run_open_loop(proto::engine& eng, wl::workload& w,
   // final arrival counts (otherwise an over-capacity run would report
   // achieved ~= offered, since every commit lands but the clock stopped
   // at the last submit), while session startup, stream pre-generation,
-  // and the pump join stay excluded.
+  // and the session's thread joins stay excluded.
   out.metrics.elapsed_seconds = last_commit > first_arrival
                                     ? (last_commit - first_arrival) / 1e9
                                     : wall.seconds();

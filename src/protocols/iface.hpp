@@ -36,8 +36,17 @@ class engine {
   // previous batch is still executing; drain_batch retires the oldest
   // in-flight batch (execution + commit epilogue complete, statuses
   // final). Batches drain strictly in submission order. `b` and `m` must
-  // stay alive until the matching drain. Like run_batch, the pipelined
-  // calls are single-caller: one thread drives submission and draining.
+  // stay alive until the matching drain.
+  //
+  // Callers: either one thread drives submission and draining, or two
+  // threads split them — exactly one submitter (submit_batch) and one
+  // drainer (drain_batch, then sync_durable). In the split form the
+  // submitter keeps at most pipeline_depth() batches undrained, waiting
+  // for the drainer before it submits more, so submit_batch never retires
+  // a batch on the submitter's behalf. The drainer treats a batch as
+  // retired only once its submit_batch call has also returned: a depth-1
+  // engine does the whole batch inside that call. proto::session is the
+  // split form. run_batch stays single-caller and overlaps neither.
 
   /// Hand `b` to the engine. Default (non-pipelined engines): process it
   /// synchronously — submit_batch + drain_batch then behaves exactly like
@@ -66,12 +75,14 @@ class engine {
     return nullptr;
   }
 
-  /// Block until every batch run so far is durable on stable storage.
-  /// No-op for engines without a durability layer (everything except the
-  /// queue-oriented engine under config::durable). proto::session calls
-  /// this after each batch, before resolving tickets, which is what makes
-  /// ticket::wait a *durable* acknowledgement; the closed-loop harness
-  /// calls it when run_options::durability is set.
+  /// Block until every batch drained (or run) so far is durable on stable
+  /// storage.
+  /// No-op for engines without a durability layer (the queue engines
+  /// without config::durable, and every baseline). Called by the thread
+  /// that drains. proto::session's completer calls this after each batch,
+  /// before resolving tickets, which is what makes ticket::wait a *durable*
+  /// acknowledgement; the closed-loop harness calls it when
+  /// run_options::durability is set.
   virtual void sync_durable() {}
 };
 

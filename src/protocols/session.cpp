@@ -1,7 +1,6 @@
 #include "protocols/session.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 #include <utility>
 
@@ -23,7 +22,7 @@ session::ticket::result session::ticket::wait() const {
 
 namespace {
 const common::config& checked(const common::config& cfg) {
-  // A zero batch_size would make the pump mistake pop_batch's empty
+  // A zero batch_size would make the submitter mistake pop_batch's empty
   // result for "closed and drained" and exit — every later ticket.wait()
   // would hang. Fail loudly instead; the engine validates its own copy,
   // but the session's cfg is a separate parameter.
@@ -39,7 +38,8 @@ session::session(engine& eng, const common::config& cfg)
     : eng_(eng),
       queue_(checked(cfg).admission_capacity, cfg.admission_session_cap),
       former_(queue_, cfg) {
-  pump_ = std::thread([this] { pump_main(); });
+  submitter_ = std::thread([this] { submitter_main(); });
+  completer_ = std::thread([this] { completer_main(); });
 }
 
 session::~session() { close(); }
@@ -49,8 +49,8 @@ session::ticket session::submit(std::unique_ptr<txn::txn_desc> t,
   return submit_at(std::move(t), 0, client);
 }
 
-// Reject malformed plans on the submitting thread: batch::validate()
-// throwing on the pump thread would terminate the process.
+// Reject malformed plans on the client's thread: batch::validate()
+// throwing on the session's submitter thread would terminate the process.
 bool session::prepare(const std::unique_ptr<txn::txn_desc>& t) {
   if (t == nullptr || t->proc == nullptr) return false;
   // validate_plan checks output slots against the runtime slot vector,
@@ -87,78 +87,106 @@ bool session::post(std::unique_ptr<txn::txn_desc> t,
 void session::close() {
   // call_once makes concurrent close() calls safe: one caller joins, the
   // others block until it is done. (As with any object, no call — close()
-  // included — may race the destructor itself.)
+  // included — may race the destructor itself.) Closing the queue ends the
+  // submitter once the former drained it; the completer ends once every
+  // handed batch resolved.
   std::call_once(close_once_, [this] {
     queue_.close();
-    if (pump_.joinable()) pump_.join();
+    if (submitter_.joinable()) submitter_.join();
+    if (completer_.joinable()) completer_.join();
   });
 }
 
-void session::pump_main() {
-  common::name_self("quecc-pump");
-  // Pipelined pump: keep up to the engine's pipeline depth batches in
-  // flight so the engine's planners work on batch i+1 while batch i
-  // executes. Batches live in `inflight` (a deque never relocates held
-  // elements) until their drain; tickets resolve at drain + durable ack.
-  const std::uint32_t depth = std::max<std::uint32_t>(1, eng_.pipeline_depth());
-  struct inflight_batch {
-    core::batch_former::formed f;
-    std::uint64_t engine_nanos = 0;  ///< handed to the engine (exec start)
-  };
-  std::deque<inflight_batch> inflight;
+void session::submitter_main() {
+  common::name_self("quecc-submitter");
+  // Keep at most the engine's pipeline depth of batches undrained, so the
+  // engine's planners work on batch i+1 while batch i executes and
+  // submit_batch never has to retire a batch itself. A depth-1 engine
+  // therefore waits for the completer before the next batch forms.
+  const std::uint64_t depth = std::max<std::uint32_t>(1, eng_.pipeline_depth());
+  for (;;) {
+    {
+      common::mutex_lock lk(mu_);
+      while (handed_ - drained_ >= depth) cv_.wait(lk);
+    }
+    auto f = former_.next();
+    if (!f.valid) break;  // queue closed and drained
+    inflight_batch* ib;
+    {
+      // Into the deque *before* submit: the engine keeps a pointer to the
+      // batch until its drain.
+      common::mutex_lock lk(mu_);
+      inflight_.push_back({std::move(f), 0});
+      ib = &inflight_.back();
+    }
+    ib->engine_nanos = common::now_nanos();
+    eng_.submit_batch(ib->f.batch, metrics_);
+    {
+      // Only now is the batch the completer's: a depth-1 engine runs the
+      // whole batch inside submit_batch.
+      common::mutex_lock lk(mu_);
+      ++handed_;
+    }
+    cv_.notify_all();
+  }
+  {
+    common::mutex_lock lk(mu_);
+    formed_all_ = true;
+  }
+  cv_.notify_all();
+}
 
-  auto drain_oldest = [&] {
+void session::completer_main() {
+  common::name_self("quecc-completer");
+  for (;;) {
+    inflight_batch* ib;
+    {
+      common::mutex_lock lk(mu_);
+      while (handed_ == drained_ && !formed_all_) cv_.wait(lk);
+      if (handed_ == drained_) return;  // formed_all_: nothing left
+      ib = &inflight_.front();
+    }
     eng_.drain_batch();
+    {
+      // The engine's slot is free: the submitter may hand over the next
+      // batch while this one waits for durability and resolves.
+      common::mutex_lock lk(mu_);
+      ++drained_;
+    }
+    cv_.notify_all();
     // Durable ack: tickets must not resolve before the batch's commit
     // record is on stable storage. The group-commit wait lands in e2e
     // latency (it is real client-visible time), not in the engine's
     // execution histogram. No-op for in-memory engines.
     eng_.sync_durable();
-    const std::uint64_t exec_done = common::now_nanos();
-    last_commit_nanos_ = exec_done;
-    inflight_batch& ib = inflight.front();
-    const std::uint64_t exec_start = ib.engine_nanos;
-
-    for (std::size_t i = 0; i < ib.f.batch.size(); ++i) {
-      const std::uint64_t submitted = ib.f.submit_nanos[i];
-      const std::uint64_t queue_ns =
-          exec_start > submitted ? exec_start - submitted : 0;
-      const std::uint64_t e2e_ns =
-          exec_done > submitted ? exec_done - submitted : 0;
-      metrics_.queue_latency.record_nanos(queue_ns);
-      metrics_.e2e_latency.record_nanos(e2e_ns);
-      if (ib.f.tickets[i]) {
-        const txn::txn_desc& t = ib.f.batch.at(i);
-        auto& slots = ib.f.tickets[i]->slots;
-        const auto n = static_cast<std::uint16_t>(t.slot_count());
-        slots.resize(n);
-        for (std::uint16_t k = 0; k < n; ++k) slots[k] = t.slot_value(k);
-        ib.f.tickets[i]->complete(t.status.load(std::memory_order_acquire),
-                                  queue_ns, e2e_ns);
-      }
-    }
-    inflight.pop_front();
-  };
-
-  for (;;) {
-    while (inflight.size() >= depth) drain_oldest();
-    // With in-flight batches but an empty admission queue, resolve what
-    // is in flight instead of parking in the former: otherwise a trickle
-    // client's commit would wait on the *next* batch's deadline. Under
-    // backlog the branch never fires and the pipeline stays full.
-    if (!inflight.empty() && queue_.depth() == 0) {
-      drain_oldest();
-      continue;
-    }
-    auto f = former_.next();
-    if (!f.valid) break;  // queue closed and drained
-    // Move into the deque *before* submit: the engine keeps a pointer to
-    // the batch until its drain.
-    inflight.push_back({std::move(f), 0});
-    inflight.back().engine_nanos = common::now_nanos();
-    eng_.submit_batch(inflight.back().f.batch, metrics_);
+    const std::uint64_t done = common::now_nanos();
+    last_commit_nanos_ = done;
+    resolve(*ib, done);
+    common::mutex_lock lk(mu_);
+    inflight_.pop_front();
   }
-  while (!inflight.empty()) drain_oldest();
+}
+
+void session::resolve(inflight_batch& ib, std::uint64_t done_nanos) {
+  const std::uint64_t exec_start = ib.engine_nanos;
+  for (std::size_t i = 0; i < ib.f.batch.size(); ++i) {
+    const std::uint64_t submitted = ib.f.submit_nanos[i];
+    const std::uint64_t queue_ns =
+        exec_start > submitted ? exec_start - submitted : 0;
+    const std::uint64_t e2e_ns =
+        done_nanos > submitted ? done_nanos - submitted : 0;
+    metrics_.queue_latency.record_nanos(queue_ns);
+    metrics_.e2e_latency.record_nanos(e2e_ns);
+    if (ib.f.tickets[i]) {
+      const txn::txn_desc& t = ib.f.batch.at(i);
+      auto& slots = ib.f.tickets[i]->slots;
+      const auto n = static_cast<std::uint16_t>(t.slot_count());
+      slots.resize(n);
+      for (std::uint16_t k = 0; k < n; ++k) slots[k] = t.slot_value(k);
+      ib.f.tickets[i]->complete(t.status.load(std::memory_order_acquire),
+                                queue_ns, e2e_ns);
+    }
+  }
 }
 
 }  // namespace quecc::proto

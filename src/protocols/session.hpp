@@ -3,24 +3,33 @@
 // A session turns the engine's batch primitives — submit_batch /
 // drain_batch, or run_batch for non-pipelined engines — into a
 // server-shaped API: clients call submit() from any number of threads and
-// get back a ticket; a pump thread drains the admission queue through a
-// batch former (closing batches on size or deadline, see
-// core/admission.hpp) and feeds formed batches to the engine. Against a
-// pipelined engine (engine::pipeline_depth() >= 2) the pump keeps that
-// many batches in flight whenever the admission queue holds a backlog, so
-// batch i+1 is being planned while batch i executes; with no backlog it
-// drains eagerly so a trickle client never waits on the next batch's
-// deadline. Tickets resolve at drain time with the transaction's final
-// status plus its queueing delay and end-to-end latency, both measured
-// from *submit time* — the quantity a loaded system's clients actually
-// experience, which the closed-loop harness cannot see.
+// get back a ticket. Two session threads split the engine's pipelined API
+// between them (the two-thread contract in iface.hpp):
 //
-// Durable ack: the pump calls engine::sync_durable() after every batch,
-// *before* resolving tickets. Against a durable engine (config::durable)
-// a resolved ticket therefore means the batch's plan and commit records
-// are fsynced — the group-commit wait shows up in e2e latency, not as a weaker
-// acknowledgement. Against in-memory engines sync_durable is a no-op and
-// nothing changes.
+//   * the submitter waits until fewer than engine::pipeline_depth()
+//     batches are undrained, then closes the next batch through a batch
+//     former (on size or deadline, see core/admission.hpp) and hands it to
+//     the engine with submit_batch;
+//   * the completer drains handed batches in submission order, waits for
+//     durability, and resolves their tickets.
+//
+// So batch i+1 forms and plans while batch i executes and waits for its
+// fsync, and a batch's tickets resolve as soon as the batch is durable —
+// never after its successor's deadline. A trickle client needs no special
+// case: the completer drains on its own while the submitter waits for more
+// arrivals. Against a depth-1 engine (submit_batch == run_batch) the
+// submitter waits for the completer before forming the next batch. Tickets
+// carry the transaction's final status plus its queueing delay and
+// end-to-end latency, both measured from *submit time* — the quantity a
+// loaded system's clients actually experience, which the closed-loop
+// harness cannot see.
+//
+// Durable ack: the completer calls engine::sync_durable() after every
+// batch, *before* resolving tickets. Against a durable engine
+// (config::durable) a resolved ticket therefore means the batch's plan and
+// commit records are fsynced — the group-commit wait shows up in e2e
+// latency, not as a weaker acknowledgement. Against in-memory engines
+// sync_durable is a no-op and nothing changes.
 //
 // Fairness: submissions may carry a client id (default 0); when
 // config::admission_session_cap is set, each client id is capped to that
@@ -33,12 +42,15 @@
 //   s.close();           // drain + stop (also runs on destruction)
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
 
 #include "common/config.hpp"
+#include "common/mutex.hpp"
 #include "common/stats.hpp"
+#include "common/thread_annotations.hpp"
 #include "core/admission.hpp"
 #include "protocols/iface.hpp"
 
@@ -55,13 +67,13 @@ class session {
     struct result {
       txn::txn_status status = txn::txn_status::aborted;
       std::uint64_t queue_nanos = 0;  ///< submit -> batch execution start
-      std::uint64_t e2e_nanos = 0;    ///< submit -> batch commit
+      std::uint64_t e2e_nanos = 0;    ///< submit -> durable ack
       std::vector<std::uint64_t> slots;  ///< value-slot results at commit
     };
 
-    /// Block until the transaction's batch committed. Returns an aborted
-    /// result immediately on an invalid (default-constructed or rejected)
-    /// ticket.
+    /// Block until the transaction's batch committed and, on a durable
+    /// engine, is on stable storage. Returns an aborted result immediately
+    /// on an invalid (default-constructed or rejected) ticket.
     result wait() const;
 
     bool valid() const noexcept { return st_ != nullptr; }
@@ -75,9 +87,9 @@ class session {
   };
 
   /// Wraps `eng`, which must outlive the session. `cfg` supplies
-  /// batch_size, batch_deadline_micros, and admission_capacity. The pump
-  /// thread starts immediately. The session must be the engine's only
-  /// driver while it is open (run_batch is single-caller).
+  /// batch_size, batch_deadline_micros, and admission_capacity. The
+  /// submitter and completer threads start immediately. The session must
+  /// be the engine's only driver while it is open.
   session(engine& eng, const common::config& cfg);
   ~session();
 
@@ -99,7 +111,7 @@ class session {
   ticket submit_at(std::unique_ptr<txn::txn_desc> t,
                    std::uint64_t submit_nanos, std::uint32_t client = 0);
 
-  /// Fire-and-forget submit: no ticket, so the pump skips the per-txn
+  /// Fire-and-forget submit: no ticket, so the completer skips the per-txn
   /// result snapshot and wakeup — the cheap path for load generators that
   /// only read the aggregated metrics(). Queue/e2e histograms still record
   /// every posted transaction. Blocks while the admission queue is full,
@@ -109,10 +121,10 @@ class session {
             std::uint32_t client = 0);
 
   /// Stop accepting submissions, drain every admitted transaction through
-  /// the engine, and join the pump thread. Idempotent; concurrent close()
-  /// calls are safe (late callers block until the first finishes), though
-  /// as with any object no call may race the destructor itself. Also run
-  /// by the destructor.
+  /// the engine, and join both session threads. Idempotent; concurrent
+  /// close() calls are safe (late callers block until the first finishes),
+  /// though as with any object no call may race the destructor itself.
+  /// Also run by the destructor.
   void close();
 
   /// Aggregated metrics: the engine's counters plus the session's
@@ -131,20 +143,46 @@ class session {
   }
 
  private:
-  void pump_main();
+  /// One batch from formation to ticket resolution. It stays in inflight_
+  /// (a deque never relocates held elements) until its tickets resolve:
+  /// the engine keeps a pointer to the batch until its drain.
+  struct inflight_batch {
+    core::batch_former::formed f;
+    std::uint64_t engine_nanos = 0;  ///< handed to the engine (exec start)
+  };
+
+  void submitter_main();
+  void completer_main();
+  /// Record latencies and resolve `ib`'s tickets (completer thread).
+  void resolve(inflight_batch& ib, std::uint64_t done_nanos);
   static bool prepare(const std::unique_ptr<txn::txn_desc>& t);
 
-  // Synchronization: cross-thread hand-offs go through queue_ (its own
-  // mutex) and core::ticket_state (release-publish of `done`); metrics_
-  // and last_commit_nanos_ are pump-thread-private until close() joins the
-  // pump, whose join is the happens-before edge that makes them readable —
-  // hence no lock and no GUARDED_BY on them.
+  // Synchronization: clients hand off through queue_ (its own mutex) and
+  // core::ticket_state (release-publish of `done`). The two session
+  // threads meet under mu_. The submitter appends to inflight_ and, once
+  // submit_batch returned, counts the batch in handed_; it waits while
+  // pipeline_depth() handed batches are undrained. The completer drains
+  // only handed batches, counts them in drained_, and pops each after
+  // resolving it. An element belongs to the submitter until handed_ covers
+  // it and to the completer after, so its fields need no lock. The former
+  // is submitter-only.
+  // metrics_ is written by the engine (the batch counters) and by the
+  // completer (queue/e2e histograms) — disjoint fields — and, like
+  // last_commit_nanos_ (completer-only), is readable once close() joined
+  // both threads.
   engine& eng_;
   core::admission_queue queue_;
   core::batch_former former_;
   common::run_metrics metrics_;
-  std::uint64_t last_commit_nanos_ = 0;  ///< pump-written; read after close()
-  std::thread pump_;
+  std::uint64_t last_commit_nanos_ = 0;  ///< completer-written
+  common::mutex mu_;
+  common::cond_var cv_;
+  std::deque<inflight_batch> inflight_ GUARDED_BY(mu_);
+  std::uint64_t handed_ GUARDED_BY(mu_) = 0;   ///< submit_batch returned
+  std::uint64_t drained_ GUARDED_BY(mu_) = 0;  ///< drain_batch returned
+  bool formed_all_ GUARDED_BY(mu_) = false;  ///< queue closed and drained
+  std::thread submitter_;
+  std::thread completer_;
   std::once_flag close_once_;
 };
 

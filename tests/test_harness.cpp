@@ -101,6 +101,34 @@ TEST(Admission, DeadlineClosesPartialBatch) {
   EXPECT_LT(waited, 500ull * 1'000'000);
 }
 
+// The deadline counts from the oldest transaction's admission stamp, not
+// from when the former first sees it: a transaction that already waited out
+// its budget closes the batch at once. A stamp from the future (a caller's
+// clock skew) falls back to counting from now.
+TEST(Admission, DeadlineAnchorsAtOldestAdmission) {
+  constexpr std::uint64_t kSecond = 1'000'000'000;
+  core::admission_queue q(64);
+  const std::uint64_t now = common::now_nanos();
+  ASSERT_GT(now, 10 * kSecond);  // steady clock counts from boot
+  core::admitted_txn old;
+  old.txn = std::make_unique<txn::txn_desc>();
+  old.submit_nanos = now - 10 * kSecond;
+  ASSERT_TRUE(q.submit(std::move(old)));
+  auto t0 = common::now_nanos();
+  EXPECT_EQ(q.pop_batch(1024, /*deadline_micros=*/5'000'000).size(), 1u);
+  EXPECT_LT(common::now_nanos() - t0, kSecond);  // not the 5 s deadline
+
+  core::admitted_txn future;
+  future.txn = std::make_unique<txn::txn_desc>();
+  future.submit_nanos = common::now_nanos() + 60 * kSecond;
+  ASSERT_TRUE(q.submit(std::move(future)));
+  t0 = common::now_nanos();
+  EXPECT_EQ(q.pop_batch(1024, /*deadline_micros=*/100'000).size(), 1u);
+  const std::uint64_t waited = common::now_nanos() - t0;
+  EXPECT_GE(waited, kSecond / 10);  // the full deadline, counted from now
+  EXPECT_LT(waited, 5 * kSecond);   // not from 60 s ahead
+}
+
 // Draining must wake producers blocked on a full queue *during* batch
 // forming, not after it: with capacity < batch size, a willing submitter
 // refills the freed slots and the batch still closes on size, fast —
@@ -278,6 +306,131 @@ TEST(Session, DeadlinePartialBatchMatchesClosedLoop) {
   EXPECT_EQ(db_async.state_hash(), db_ref.state_hash());
 }
 
+// A session over a quecc engine of the given pipeline depth; batches close
+// on `batch_size` or the deadline.
+common::config session_cfg(std::uint32_t depth, std::uint32_t batch_size,
+                           std::uint32_t deadline_micros) {
+  common::config cfg;
+  cfg.planner_threads = 1;
+  cfg.executor_threads = 1;
+  cfg.pipeline_depth = depth;
+  cfg.batch_size = batch_size;
+  cfg.batch_deadline_micros = deadline_micros;
+  return cfg;
+}
+
+// A size-closed batch resolves on its own: the completer drains it while
+// the submitter is parked forming the next batch under a 10 s deadline.
+TEST(Session, SizeClosedBatchResolvesWhileNextBatchForms) {
+  wl::ycsb_config wcfg;
+  wcfg.table_size = 1024;
+  wl::ycsb w(wcfg);
+  storage::database db;
+  w.load(db);
+  const auto cfg = session_cfg(2, 64, /*deadline_micros=*/10'000'000);
+  core::quecc_engine eng(db, cfg);
+  proto::session s(eng, cfg);
+  common::rng r(8);
+  std::vector<proto::session::ticket> tickets;
+  const std::uint64_t t0 = common::now_nanos();
+  for (int i = 0; i < 65; ++i) tickets.push_back(s.submit(w.make_txn(r)));
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(tickets[i].wait().status, txn::txn_status::committed);
+  }
+  EXPECT_LT(common::now_nanos() - t0, 5ull * 1'000'000'000);
+  s.close();  // closes the 65th's batch without waiting out the deadline
+  EXPECT_EQ(tickets[64].wait().status, txn::txn_status::committed);
+  EXPECT_EQ(s.metrics().committed, 65u);
+}
+
+// A lone transaction commits once its deadline (counted from admission)
+// fires, and no later: nothing else has to arrive to push it through.
+TEST(Session, TrickleTransactionResolvesWithinDeadline) {
+  wl::ycsb_config wcfg;
+  wcfg.table_size = 1024;
+  wl::ycsb w(wcfg);
+  storage::database db;
+  w.load(db);
+  constexpr std::uint32_t kDeadlineMicros = 20'000;
+  const auto cfg = session_cfg(2, 1024, kDeadlineMicros);
+  core::quecc_engine eng(db, cfg);
+  proto::session s(eng, cfg);
+  common::rng r(9);
+  for (int i = 0; i < 3; ++i) {  // one at a time, each on its own
+    const auto res = s.submit(w.make_txn(r)).wait();
+    EXPECT_EQ(res.status, txn::txn_status::committed);
+    EXPECT_GE(res.e2e_nanos, kDeadlineMicros * 1000ull);
+    EXPECT_LT(res.e2e_nanos, kDeadlineMicros * 1000ull + 2'000'000'000ull);
+  }
+  s.close();
+  EXPECT_EQ(s.batches_formed(), 3u);
+}
+
+// close() with batches still in flight resolves every ticket before it
+// returns.
+TEST(Session, CloseResolvesEveryTicketInFlight) {
+  wl::ycsb_config wcfg;
+  wcfg.table_size = 1024;
+  wl::ycsb w(wcfg);
+  storage::database db;
+  w.load(db);
+  const auto cfg = session_cfg(2, 32, /*deadline_micros=*/10'000'000);
+  core::quecc_engine eng(db, cfg);
+  proto::session s(eng, cfg);
+  common::rng r(10);
+  std::vector<proto::session::ticket> tickets;
+  for (int i = 0; i < 80; ++i) tickets.push_back(s.submit(w.make_txn(r)));
+  s.close();
+  for (const auto& t : tickets) {
+    ASSERT_TRUE(t.done());
+    EXPECT_EQ(t.wait().status, txn::txn_status::committed);
+  }
+  EXPECT_EQ(s.metrics().committed, 80u);
+  EXPECT_GE(s.batches_formed(), 3u);
+}
+
+// Depth-1 engines — serial (submit_batch == run_batch) and quecc in
+// lockstep — keep their behaviour behind the submitter/completer split:
+// the session's state equals a closed-loop run of the same stream.
+TEST(Session, DepthOneEnginesMatchClosedLoop) {
+  wl::ycsb_config wcfg;
+  wcfg.table_size = 1024;
+  wcfg.abort_ratio = 0.05;
+  wl::ycsb w(wcfg);
+  constexpr std::uint32_t kTxns = 200;
+  const auto cfg = session_cfg(1, 48, /*deadline_micros=*/300);
+  for (const char* name : {"serial", "quecc"}) {
+    SCOPED_TRACE(name);
+    storage::database db;
+    w.load(db);
+    {
+      auto eng = proto::make_engine(name, db, cfg);
+      ASSERT_EQ(eng->pipeline_depth(), 1u);
+      proto::session s(*eng, cfg);
+      common::rng r(12);
+      std::vector<proto::session::ticket> tickets;
+      for (std::uint32_t i = 0; i < kTxns; ++i) {
+        tickets.push_back(s.submit(w.make_txn(r)));
+      }
+      for (const auto& t : tickets) {
+        EXPECT_NE(t.wait().status, txn::txn_status::active);
+      }
+      s.close();
+      EXPECT_EQ(s.metrics().committed + s.metrics().aborted, kTxns);
+    }
+    storage::database ref;
+    w.load(ref);
+    {
+      auto eng = proto::make_engine(name, ref, cfg);
+      common::rng r(12);
+      auto b = w.make_batch(r, kTxns);
+      common::run_metrics m;
+      eng->run_batch(b, m);
+    }
+    EXPECT_EQ(db.state_hash(), ref.state_hash());
+  }
+}
+
 // Acceptance: open-loop runs measure queueing — end-to-end latency
 // (submit -> commit) must exceed pure execution latency, which is all a
 // closed-loop replay can see.
@@ -328,7 +481,7 @@ TEST(Runner, OpenLoopMeasuresQueueingDelay) {
   EXPECT_EQ(res.final_state_hash, ref.final_state_hash);
 }
 
-// A malformed plan must not reach the pump thread (where a validation
+// A malformed plan must not reach the submitter thread (where a validation
 // throw would terminate the process): it is rejected at submit, resolving
 // as aborted, and the session keeps serving well-formed transactions.
 TEST(Session, MalformedPlanRejectedAtSubmit) {
@@ -401,7 +554,7 @@ TEST(Session, ConstructorRejectsZeroBatchSize) {
   cfg.planner_threads = 1;
   cfg.executor_threads = 1;
   core::quecc_engine eng(db, cfg);
-  cfg.batch_size = 0;  // would silently kill the pump: tickets hang forever
+  cfg.batch_size = 0;  // would silently stop the submitter: tickets hang
   EXPECT_THROW(proto::session(eng, cfg), std::invalid_argument);
   cfg = common::config{};
   cfg.admission_capacity = 0;

@@ -28,22 +28,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh directory under the system temp root, removed on scope exit.
-struct temp_dir {
-  temp_dir() {
-    std::string tmpl =
-        (fs::temp_directory_path() / "quecc-log-XXXXXX").string();
-    if (::mkdtemp(tmpl.data()) == nullptr) {
-      throw std::runtime_error("mkdtemp failed");
-    }
-    path = tmpl;
-  }
-  ~temp_dir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string path;
-};
+using testutil::temp_dir;
 
 wl::ycsb_config small_ycsb() {
   wl::ycsb_config w;
@@ -666,7 +651,7 @@ TEST(Recovery, DurableOpenLoopSessionRunRecoversToIdenticalHash) {
 
 // Durable ticket acks: by the time wait() returns, the engine's log must
 // report the commit record durable (ticket resolution happens after
-// sync_durable in the pump).
+// sync_durable in the session's completer).
 TEST(Session, TicketResolvesOnlyAfterCommitRecordIsDurable) {
   temp_dir dir;
   wl::ycsb w(small_ycsb());

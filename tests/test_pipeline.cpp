@@ -12,9 +12,11 @@
 #include <deque>
 #include <thread>
 
+#include "common/mutex.hpp"
 #include "core/engine.hpp"
 #include "dist/dist_quecc.hpp"
 #include "harness/runner.hpp"
+#include "log/log_writer.hpp"
 #include "protocols/iface.hpp"
 #include "protocols/session.hpp"
 #include "test_util.hpp"
@@ -457,6 +459,133 @@ TEST(PipelineApi, EngineDestructorDrainsLeftoverBatches) {
   }
   EXPECT_EQ(m.batches, 2u);
   EXPECT_EQ(m.committed + m.aborted, 2u * 128u);
+}
+
+// --- the stage driver's two-thread submit/drain contract ------------------
+
+/// Records of one drained batch: its batch and commit record lsns and the
+/// log's durable watermark right after sync_durable().
+struct drained_record {
+  std::uint64_t batch_lsn = 0;
+  std::uint64_t commit_lsn = 0;
+  std::uint64_t durable_lsn = 0;
+};
+
+/// One submitter thread and one drainer thread (which also calls
+/// sync_durable) over a durable engine. The submitter keeps at most
+/// pipeline_depth() batches undrained. The drainer takes no hand-off from
+/// it: it retries drain_batch until a batch is in flight, so it may drain a
+/// batch whose submit_batch is still appending the batch record — the
+/// window the driver's logged_ wait covers. Returns one record per drained
+/// batch, in drain order.
+template <class Engine>
+std::vector<drained_record> submit_and_drain_two_threads(
+    Engine& eng, std::deque<txn::batch>& batches, common::run_metrics& m) {
+  const std::uint32_t depth = eng.pipeline_depth();
+  const std::size_t n = batches.size();
+  common::mutex mu;
+  common::cond_var cv;
+  std::size_t drained = 0;  // under mu
+  std::vector<drained_record> out;
+  std::thread submitter([&] {
+    for (std::size_t k = 0; k < n; ++k) {
+      {
+        common::mutex_lock lk(mu);
+        while (k - drained >= depth) cv.wait(lk);
+      }
+      eng.submit_batch(batches[k], m);
+    }
+  });
+  std::thread drainer([&] {
+    for (std::size_t k = 0; k < n; ++k) {
+      while (!eng.drain_batch()) std::this_thread::yield();
+      eng.sync_durable();
+      const auto lsns = eng.drained_lsns();
+      out.push_back({lsns.batch, lsns.commit, eng.wal()->durable_lsn()});
+      {
+        common::mutex_lock lk(mu);
+        ++drained;
+      }
+      cv.notify_all();
+    }
+  });
+  submitter.join();
+  drainer.join();
+  return out;
+}
+
+TEST(StageDriver, SubmitAndDrainFromTwoThreads) {
+  constexpr std::size_t kBatches = 12;
+  constexpr std::uint32_t kTxns = 128;
+  wl::ycsb_config wcfg;
+  wcfg.table_size = 4096;
+  wcfg.partitions = 4;
+  wcfg.multi_partition_ratio = 0.3;
+  wcfg.abort_ratio = 0.05;
+  wl::ycsb w(wcfg);
+
+  std::uint64_t serial_hash = 0;
+  {
+    storage::database db;
+    w.load(db);
+    config cfg;
+    cfg.partitions = 4;
+    auto eng = proto::make_engine("serial", db, cfg);
+    common::rng r(17);
+    common::run_metrics m;
+    for (std::size_t k = 0; k < kBatches; ++k) {
+      auto b = w.make_batch(r, kTxns, static_cast<std::uint32_t>(k));
+      eng->run_batch(b, m);
+    }
+    serial_hash = db.state_hash();
+  }
+
+  const auto check = [&](const std::string& label, std::uint32_t depth) {
+    SCOPED_TRACE(label + " at depth " + std::to_string(depth));
+    testutil::temp_dir dir;
+    storage::database db;
+    w.load(db);
+    config cfg = base_cfg(depth, exec_model::speculative);
+    cfg.partitions = 4;
+    cfg.durable = true;
+    cfg.log_dir = dir.path;
+    common::rng r(17);
+    std::deque<txn::batch> batches;
+    for (std::size_t k = 0; k < kBatches; ++k) {
+      batches.push_back(
+          w.make_batch(r, kTxns, static_cast<std::uint32_t>(k)));
+    }
+    common::run_metrics m;
+    std::vector<drained_record> recs;
+    if (label == "dist-quecc") {
+      cfg.planner_threads = 1;
+      cfg.nodes = 2;
+      cfg.net_latency_micros = 10;
+      dist::dist_quecc_engine eng(db, cfg);
+      recs = submit_and_drain_two_threads(eng, batches, m);
+    } else {
+      core::quecc_engine eng(db, cfg);
+      recs = submit_and_drain_two_threads(eng, batches, m);
+    }
+    EXPECT_EQ(db.state_hash(), serial_hash);
+    EXPECT_EQ(m.batches, kBatches);
+    EXPECT_EQ(m.committed + m.aborted, kBatches * kTxns);
+    ASSERT_EQ(recs.size(), kBatches);
+    for (std::size_t k = 0; k < kBatches; ++k) {
+      SCOPED_TRACE("batch " + std::to_string(k));
+      EXPECT_GT(recs[k].batch_lsn, 0u);
+      EXPECT_LE(recs[k].batch_lsn, recs[k].durable_lsn);
+      EXPECT_LE(recs[k].commit_lsn, recs[k].durable_lsn);
+      // Commit records land in batch order, so a stale or swapped slot
+      // lsn shows up here.
+      if (k > 0) {
+        EXPECT_GT(recs[k].commit_lsn, recs[k - 1].commit_lsn);
+      }
+    }
+  };
+  check("quecc", 2);
+  check("quecc", 3);
+  check("dist-quecc", 2);
 }
 
 // --- per-slot phase stats (both queue engines, one stage driver) -----------

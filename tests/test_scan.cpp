@@ -362,22 +362,7 @@ TEST(ScanFree, HashAndOrderedBackendsHashIdentically) {
 
 // --- checkpoint: ordered arenas round-trip, mismatches rejected -------------
 
-struct temp_dir {
-  temp_dir() {
-    std::string tmpl =
-        (std::filesystem::temp_directory_path() / "quecc-scan-XXXXXX")
-            .string();
-    if (::mkdtemp(tmpl.data()) == nullptr) {
-      throw std::runtime_error("mkdtemp failed");
-    }
-    path = tmpl;
-  }
-  ~temp_dir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-  std::string path;
-};
+using testutil::temp_dir;
 
 storage::schema ordered_u64_schema() {
   auto s = storage::schema({{"A", storage::col_type::u64, 8}});

@@ -1,7 +1,13 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <stdlib.h>
+
+#include <filesystem>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "protocols/iface.hpp"
@@ -12,6 +18,26 @@
 #include "workload/workload.hpp"
 
 namespace quecc::testutil {
+
+/// Fresh directory under the system temp root, removed on scope exit.
+struct temp_dir {
+  temp_dir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "quecc-test-XXXXXX")
+            .string();
+    if (::mkdtemp(tmpl.data()) == nullptr) {
+      throw std::runtime_error("mkdtemp failed");
+    }
+    path = tmpl;
+  }
+  ~temp_dir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  temp_dir(const temp_dir&) = delete;
+  temp_dir& operator=(const temp_dir&) = delete;
+  std::string path;
+};
 
 inline std::unique_ptr<storage::database> make_loaded_db(wl::workload& w) {
   auto db = std::make_unique<storage::database>();
