@@ -1,5 +1,9 @@
+// Executor: drains queues keeping FIFO per conflict key, parking entries
+// whose data or commit dependencies are not ready (see executor.hpp), plus
+// the frag_host row accessors fragment logic runs against.
 #include "core/executor.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -9,100 +13,188 @@
 
 namespace quecc::core {
 
-
 void executor::run_conflict_queues(
     std::span<const frag_queue* const> queues) {
   reading_committed_ = false;
   for (const frag_queue* q : queues) {
-    for (const frag_entry& e : *q) process(e);
+    for (const frag_entry& e : *q) admit(e);
   }
+  drain_parked();
+  flush_counts();
 }
 
 void executor::run_read_queues(std::span<const frag_queue* const> queues,
                                std::atomic<std::size_t>& cursor) {
   reading_committed_ = true;
+  // Parked entries span claimed queues: an entry waiting on a producer in a
+  // queue nobody has claimed yet must not stop this executor from claiming
+  // it.
   while (true) {
     // relaxed: work-claiming cursor; queue contents were published by the
     // plan->exec stage hand-off, claiming needs atomicity only.
     const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
     if (i >= queues.size()) break;
-    for (const frag_entry& e : *queues[i]) process(e);
+    for (const frag_entry& e : *queues[i]) admit(e);
   }
+  drain_parked();
+  flush_counts();
   reading_committed_ = false;
 }
 
-void executor::process(const frag_entry& e) {
-  txn::txn_desc& t = *e.t;
-  const txn::fragment& f = *e.f;
-  current_part_ = e.part;
-
-  if (t.aborted()) {
-    skip(e);
+void executor::admit(const frag_entry& e) {
+  if (heads_.empty()) {
+    // Nothing is parked, so nothing holds this entry's key.
+    if (const wait_reason why = try_run(e); why != wait_reason::none) {
+      park(e, why);
+    }
     return;
   }
-
-  // Data dependencies: wait for producer fragments (other executors) to
-  // publish the slots this fragment consumes. Deadlock-free because
-  // producers sort strictly earlier in the global replay order (inputs
-  // come from smaller fragment idx, txn::validate_plan; planners keep
-  // replay order, planner.hpp) — unless the txn aborts, which breaks the
-  // wait.
-  //
-  // Both waits time themselves into a counter, reading the clock only once
-  // a wait has started, so the no-wait path reads no clock.
-  if (f.input_mask != 0 && !t.inputs_ready(f.input_mask)) {
-    static const obs::counter data_wait("engine.exec_data_wait_nanos");
-    const std::uint64_t w0 = common::now_nanos();
-    common::backoff bo;
-    do {
-      if (t.aborted()) break;
-      bo.spin();
-    } while (!t.inputs_ready(f.input_mask));
-    data_wait.inc(common::now_nanos() - w0);
-    if (t.aborted()) {
-      skip(e);
-      return;
-    }
+  // Read queues read the committed image, which no entry of this batch
+  // writes, so only conflict queues keep per-key order.
+  const std::uint32_t tail =
+      reading_committed_ ? kNone : tail_[bucket(e.key)];
+  if (tail != kNone) {
+    // An earlier entry of this key is parked: queue behind it.
+    const auto at = static_cast<std::uint32_t>(parked_.size());
+    parked_.push_back({e, kNone, wait_reason::key});
+    parked_[tail].next = at;
+    tail_[bucket(e.key)] = at;
+    ++parked_total_;
+  } else if (const wait_reason why = try_run(e); why != wait_reason::none) {
+    park(e, why);
   }
+  if (++since_retry_ >= kRetryEvery) retry_parked();
+}
 
+void executor::park(const frag_entry& e, wait_reason why) {
+  const auto at = static_cast<std::uint32_t>(parked_.size());
+  parked_.push_back({e, kNone, why});
+  heads_.push_back(at);
+  if (!reading_committed_) tail_[bucket(e.key)] = at;
+  ++parked_total_;
+}
+
+executor::wait_reason executor::try_run(const frag_entry& e) {
+  txn::txn_desc& t = *e.t;
+  const txn::fragment& f = *e.f;
+
+  // An aborted transaction's producers may never produce, so the abort
+  // check comes before the dependency checks.
+  if (t.aborted()) {
+    skip(e);
+    return wait_reason::none;
+  }
+  // Data dependencies: producer fragments (any executor) must have
+  // published the slots this fragment consumes.
+  if (f.input_mask != 0 && !t.inputs_ready(f.input_mask)) {
+    return wait_reason::data;
+  }
   // Commit dependencies (conservative execution only): database-updating
   // fragments hold off until every abortable fragment of the transaction
   // has resolved, so uncommitted updates are never exposed (paper §3.2).
   if (cfg_.execution == common::exec_model::conservative &&
       f.updates_database()) {
     if (t.pending_abortables.load(std::memory_order_acquire) != 0) {
-      static const obs::counter commit_wait("engine.exec_commit_wait_nanos");
-      const std::uint64_t w0 = common::now_nanos();
-      common::backoff bo;
-      while (t.pending_abortables.load(std::memory_order_acquire) != 0 &&
-             !t.aborted()) {
-        bo.spin();
-      }
-      commit_wait.inc(common::now_nanos() - w0);
+      return wait_reason::commit;
     }
     if (t.aborted()) {  // abort decided by the final abortable fragment
       skip(e);
-      return;
+      return wait_reason::none;
     }
   }
 
+  current_part_ = e.part;
   const txn::frag_status st = t.proc->run_fragment(f, t, *this);
   // Publish the abort decision BEFORE resolving the commit dependency:
-  // conservative waiters observe pending_abortables with acquire ordering,
-  // so the release sequence on the counter makes the status store visible
-  // to them — decrementing first would open a window where a waiter sees
-  // zero pending abortables but not the abort, and applies a doomed update.
+  // conservative executors observe pending_abortables with acquire
+  // ordering, so the release sequence on the counter makes the status
+  // store visible to them — decrementing first would open a window where
+  // an executor sees zero pending abortables but not the abort, and
+  // applies a doomed update.
   if (st == txn::frag_status::abort) t.mark_aborted();
   if (f.abortable) {
     t.pending_abortables.fetch_sub(1, std::memory_order_acq_rel);
   }
+  ++applied_;
   finish(t);
+  return wait_reason::none;
+}
+
+bool executor::retry_parked() {
+  since_retry_ = 0;
+  bool progress = false;
+  std::size_t kept = 0;
+  for (std::uint32_t h : heads_) {
+    // Run the key's parked entries in queue order until one must wait.
+    while (true) {
+      parked_entry& p = parked_[h];
+      p.why = try_run(p.e);
+      if (p.why != wait_reason::none) {
+        heads_[kept++] = h;
+        break;
+      }
+      progress = true;
+      if (p.next == kNone) {
+        if (!reading_committed_) tail_[bucket(p.e.key)] = kNone;
+        break;
+      }
+      h = p.next;
+    }
+  }
+  heads_.resize(kept);
+  if (heads_.empty()) parked_.clear();
+  return progress;
+}
+
+void executor::drain_parked() {
+  // Liveness, by induction on replay order (planner, seq, fragment idx),
+  // which is sequence order: the earliest unfinished entry of the batch can
+  // always run. Its inputs come from smaller fragment idx of its own
+  // transaction (txn::validate_plan), its transaction's abortable fragments
+  // precede every update (validate_plan again), and every entry that holds
+  // its key sits earlier in its queue — all earlier in replay order, so all
+  // finished. That entry heads its key's parked entries or is not yet
+  // taken from a queue, and no executor stops taking entries or
+  // retrying its parked ones, so it runs; then the next one does. The
+  // argument runs over the conflict queues first, then the read queues:
+  // conflict-queue entries never wait on read-queue ones
+  // (planner::writer_needed_slots), and every executor claims read queues
+  // until none are left before it drains its parked entries.
+  //
+  // Only here, with nothing runnable, does the executor wait. The wait is
+  // booked by why the oldest parked entry waits (it is never key-blocked:
+  // nothing precedes it, so it heads its key), reading the clock only once
+  // a wait starts.
+  while (!heads_.empty()) {
+    if (retry_parked()) continue;
+    static const obs::counter data_wait("engine.exec_data_wait_nanos");
+    static const obs::counter commit_wait("engine.exec_commit_wait_nanos");
+    const auto oldest = std::min_element(heads_.begin(), heads_.end());
+    const bool commit = parked_[*oldest].why == wait_reason::commit;
+    const std::uint64_t w0 = common::now_nanos();
+    common::backoff bo;
+    do {
+      bo.spin();
+    } while (!retry_parked());
+    (commit ? commit_wait : data_wait).inc(common::now_nanos() - w0);
+  }
+}
+
+void executor::flush_counts() {
+  static const obs::counter applied("engine.exec_frags_applied_total");
+  static const obs::counter skipped("engine.exec_frags_skipped_total");
+  static const obs::counter parked("engine.exec_parked_total");
+  applied.inc(applied_);
+  skipped.inc(skipped_);
+  parked.inc(parked_total_);
+  applied_ = skipped_ = parked_total_ = 0;
 }
 
 void executor::skip(const frag_entry& e) {
   if (e.f->abortable) {
     e.t->pending_abortables.fetch_sub(1, std::memory_order_acq_rel);
   }
+  ++skipped_;
   finish(*e.t);
 }
 

@@ -7,11 +7,20 @@
 // conflict dependencies." — the executor is exactly that: a queue drainer
 // plus the frag_host that gives fragment logic in-place access to rows.
 //
+// FIFO is kept per conflict key (frag_entry::key), not per queue. An entry
+// whose input slots are not produced yet, or (conservative execution) whose
+// transaction still has abortable fragments pending, is parked and the
+// executor moves on; a later entry with the key of a parked entry parks
+// behind it, and runs as soon as the entries ahead of it have. So entries
+// that share a key still run in queue order and the state equals the
+// serial run's, while the executors stop waiting on each other's progress.
+//
 // Coordination is limited to the lock-free txn_context (data / commit
 // dependencies, abort flags); there is no per-record locking or validation
 // anywhere on this path.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -32,7 +41,9 @@ class executor final : public txn::frag_host {
  public:
   executor(worker_id_t id, const common::config& cfg, storage::database& db,
            storage::dual_version_store* committed)
-      : id_(id), cfg_(cfg), db_(db), committed_(committed) {}
+      : id_(id), cfg_(cfg), db_(db), committed_(committed) {
+    tail_.fill(kNone);
+  }
 
   worker_id_t id() const noexcept { return id_; }
   exec_logs& logs() noexcept { return logs_; }
@@ -44,11 +55,13 @@ class executor final : public txn::frag_host {
     logs_.clear();
   }
 
-  /// Drain conflict queues in the given (planner) order.
+  /// Drain conflict queues in the given (planner) order, keeping queue
+  /// order per conflict key.
   EXEC_PHASE void run_conflict_queues(std::span<const frag_queue* const> queues);
 
   /// Claim and drain read-committed read queues from the shared pool.
-  /// `cursor` is the engine-owned claim index over `queues`.
+  /// `cursor` is the engine-owned claim index over `queues`. These entries
+  /// read the committed image, so they park on inputs only, never on keys.
   EXEC_PHASE void run_read_queues(std::span<const frag_queue* const> queues,
                                   std::atomic<std::size_t>& cursor);
 
@@ -67,9 +80,44 @@ class executor final : public txn::frag_host {
                             scan_row_fn fn, void* ctx) override;
 
  private:
-  EXEC_PHASE void process(const frag_entry& e);
+  /// Why an entry cannot run yet: an input slot is not produced, its
+  /// transaction has abortable fragments pending (conservative updates
+  /// only), or an earlier parked entry holds its conflict key. `none`: it
+  /// ran or was skipped.
+  enum class wait_reason : std::uint8_t { none, data, commit, key };
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  struct parked_entry {
+    frag_entry e;
+    std::uint32_t next;  ///< next parked entry of the same key, or kNone
+    wait_reason why;
+  };
+
+  /// Buckets of the parked-key table; keys sharing a bucket share one
+  /// FIFO, which only over-parks.
+  static constexpr std::size_t kKeyBuckets = 4096;
+  /// Queue entries taken between two retries of the parked entries.
+  static constexpr std::uint32_t kRetryEvery = 16;
+
+  /// Run, skip or park the next queue entry.
+  EXEC_PHASE void admit(const frag_entry& e);
+  /// Run or skip `e` if it can run now; otherwise say why it must wait.
+  EXEC_PHASE wait_reason try_run(const frag_entry& e);
+  /// Park `e` as the first parked entry of its key.
+  EXEC_PHASE void park(const frag_entry& e, wait_reason why);
+  /// Try every key's first parked entry, and on success the entries
+  /// parked behind it. Returns true if any entry ran or was skipped.
+  EXEC_PHASE bool retry_parked();
+  /// Retry until nothing is parked, waiting with backoff while nothing can
+  /// run.
+  EXEC_PHASE void drain_parked();
+  /// Add this run's applied/skipped/parked counts to the metrics.
+  EXEC_PHASE void flush_counts();
   EXEC_PHASE void skip(const frag_entry& e);
   EXEC_PHASE void finish(txn::txn_desc& t);
+
+  EXEC_PHASE static std::size_t bucket(std::uint32_t key) noexcept {
+    return key & (kKeyBuckets - 1);
+  }
 
   /// Resolve a fragment's row id: the rid resolve_read_queues set for RC
   /// read-queue fragments, else an execution-time index lookup (FIFO on
@@ -88,6 +136,21 @@ class executor final : public txn::frag_host {
   /// Effective partition of the entry being processed; scan_rows scans it
   /// (the fragment itself may carry the kAllParts sentinel).
   part_id_t current_part_ = 0;
+
+  // --- parking (executor-thread state, empty between runs) ---------------
+  /// Every entry parked since nothing was last parked, in queue order;
+  /// entries of one key are chained through `next`.
+  std::vector<parked_entry> parked_;
+  /// Indices into parked_ of the first unfinished entry of each key: the
+  /// only entries a retry tries.
+  std::vector<std::uint32_t> heads_;
+  /// Index of each key bucket's last parked entry, or kNone (conflict
+  /// queues only; read-queue entries park unchained).
+  std::array<std::uint32_t, kKeyBuckets> tail_;
+  std::uint32_t since_retry_ = 0;  ///< entries taken since the last retry
+  std::uint64_t applied_ = 0;      ///< counts not yet flushed to metrics
+  std::uint64_t skipped_ = 0;
+  std::uint64_t parked_total_ = 0;
 };
 
 }  // namespace quecc::core

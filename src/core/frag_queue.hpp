@@ -7,6 +7,13 @@
 // lives in the queue's position: pipeline::build wires each executor's
 // queues in planner order.
 //
+// FIFO is kept per conflict key, not per queue: entries with the same
+// `key` run in queue order, while an entry that cannot run yet (see
+// core/executor.hpp) lets later entries with other keys overtake it. The
+// key is the routing identity the planner hashed to pick the queue, so
+// every entry that could conflict with another on the same executor
+// carries the same key.
+//
 // A queue is written by exactly one planner during the planning phase and
 // read by exactly one executor during the execution phase; the engine's
 // phase barrier provides the happens-before edge, so the container itself
@@ -14,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "txn/fragment.hpp"
@@ -30,10 +38,17 @@ namespace quecc::core {
 /// for cross-partition scan fragments (f->part == txn::kAllParts), which
 /// the planner fans out into one entry per partition — the shared fragment
 /// cannot carry the per-entry partition, so the queue entry does.
+///
+/// `key` is the entry's conflict key: 32 bits of the routing hash, (table,
+/// key) on hash tables and (table, effective partition) on ordered ones, so
+/// a scan and the point writes in its range share it. It fills padding the
+/// entry had anyway. Two records colliding on it are merely kept in queue
+/// order, which is always safe.
 struct frag_entry {
   txn::txn_desc* t = nullptr;
   txn::fragment* f = nullptr;
   part_id_t part = 0;
+  std::uint32_t key = 0;
 };
 
 class frag_queue {

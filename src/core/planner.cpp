@@ -66,8 +66,8 @@ bool planner::goes_to_read_queue(const txn::fragment& f,
          ((writer_needed >> f.output_slot) & 1) == 0;
 }
 
-worker_id_t planner::route(const txn::fragment& f,
-                           part_id_t part) const noexcept {
+worker_id_t planner::route(const txn::fragment& f, part_id_t part,
+                           std::uint32_t& key) const noexcept {
   // Node placement follows the record's home partition (data really lives
   // somewhere); *within* a node, queues are split by a per-record hash so
   // that even a single hot partition (1-warehouse TPC-C) spreads across
@@ -83,6 +83,11 @@ worker_id_t planner::route(const txn::fragment& f,
   // workloads on ordered tables keep identical results (all ops on a key
   // still share one queue); they just trade intra-partition spread for
   // range-conflict determinism.
+  //
+  // The same hash is the entry's conflict key (frag_queue.hpp): executors
+  // keep queue order among entries that share it. Its high half is stored
+  // because the low bits also pick the executor, so they barely vary
+  // within one queue.
   const auto executors = cfg_.executor_threads;
   const auto e_per_node = static_cast<worker_id_t>(executors / cfg_.nodes);
   const auto node =
@@ -91,6 +96,7 @@ worker_id_t planner::route(const txn::fragment& f,
       db_.at(f.table).index() == storage::index_kind::ordered;
   const std::uint64_t h =
       ordered ? record_hash(f.table, part) : record_hash(f.table, f.key);
+  key = static_cast<std::uint32_t>(h >> 32);
   return static_cast<worker_id_t>(node * e_per_node + h % e_per_node);
 }
 
@@ -175,16 +181,19 @@ void planner::plan(txn::batch& b, plan_output& out) {
         // relaxed: pre-execution mutation, published by the stage hand-off.
         t.remaining_frags.fetch_add(parts - 1, std::memory_order_relaxed);
         for (part_id_t p = 0; p < parts; ++p) {
-          out.conflict[route(f, p)].push({&t, &f, p});
+          std::uint32_t key;
+          const auto e = route(f, p, key);
+          out.conflict[e].push({&t, &f, p, key});
           ++out.planned_frags;
         }
         continue;
       }
-      const auto e = route(f, f.part);
+      std::uint32_t key;
+      const auto e = route(f, f.part, key);
       if (goes_to_read_queue(f, writer_needed)) {
-        out.reads[e].push({&t, &f, f.part});
+        out.reads[e].push({&t, &f, f.part, key});
       } else {
-        out.conflict[e].push({&t, &f, f.part});
+        out.conflict[e].push({&t, &f, f.part, key});
       }
       ++out.planned_frags;
     }

@@ -91,8 +91,10 @@ class planner {
   /// an ordered index, which route by partition so scans and the point
   /// writes inside their key range share one FIFO. `part` is the entry's
   /// effective partition (== f.part except fanned-out kAllParts scans).
-  PLAN_PHASE worker_id_t route(const txn::fragment& f,
-                               part_id_t part) const noexcept;
+  /// Returns the executor; `key` receives the entry's conflict key, 32
+  /// bits of the same routing hash.
+  PLAN_PHASE worker_id_t route(const txn::fragment& f, part_id_t part,
+                               std::uint32_t& key) const noexcept;
 
   worker_id_t id_;
   const common::config& cfg_;

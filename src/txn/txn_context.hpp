@@ -5,8 +5,8 @@
 // distributed data structure" for dependency information (Section 3.2):
 // value slots with atomic ready flags resolve data dependencies, and the
 // pending-abortables counter resolves commit dependencies — no locks, no
-// condition variables, just atomics that executor threads poll with
-// backoff.
+// condition variables, just atomics that executors check before running a
+// fragment, parking it while they say wait (core/executor.hpp).
 #pragma once
 
 #include <atomic>

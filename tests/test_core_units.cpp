@@ -1,12 +1,17 @@
 // Unit tests: planner and executor mechanics in isolation — queue routing
 // invariants, priority order, read-queue eligibility, and the executor's
-// dependency-wait/skip behaviour.
+// parking/skip behaviour.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <numeric>
+#include <thread>
 
 #include "core/engine.hpp"
+#include "core/executor.hpp"
 #include "core/planner.hpp"
 #include "test_util.hpp"
 #include "workload/ycsb.hpp"
@@ -342,6 +347,156 @@ TEST(Executor, EraseThenReadMisses) {
   eng.run_batch(b, m);
   EXPECT_EQ(db->at(0).lookup(7, 3), storage::kNoRow);
   EXPECT_EQ(db->at(0).live_rows(), 63u);
+}
+
+// --- parking, through core::executor with hand-built queues ----------------
+
+namespace park_probe {
+
+// The labels (fragment aux) of the fragments the probe logic ran, in order.
+// Written by the executor thread; the test thread polls it while the
+// executor runs, so every cell is atomic.
+std::array<std::atomic<std::uint64_t>, 8> ran_log;
+std::atomic<std::size_t> ran_count{0};
+
+void reset() { ran_count.store(0); }
+
+txn::frag_status run(const txn::fragment& f, txn::txn_desc&,
+                     txn::frag_host&) {
+  const std::size_t i = ran_count.load(std::memory_order_relaxed);
+  ran_log[i].store(f.aux, std::memory_order_relaxed);
+  ran_count.store(i + 1, std::memory_order_release);
+  return txn::frag_status::ok;
+}
+
+std::vector<std::uint64_t> ran() {
+  std::vector<std::uint64_t> out;
+  const std::size_t n = ran_count.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(ran_log[i].load());
+  return out;
+}
+
+/// Wait at most 5 s for the fragment labelled `label` to run.
+bool wait_ran(std::uint64_t label) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
+    for (const auto l : ran()) {
+      if (l == label) return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+txn::fragment frag(txn::op_kind kind, std::uint16_t idx, std::uint64_t label) {
+  txn::fragment f;
+  f.kind = kind;
+  f.idx = idx;
+  f.aux = label;
+  return f;
+}
+
+std::unique_ptr<txn::txn_desc> make_txn(const txn::procedure& proc,
+                                        std::vector<txn::fragment> frags) {
+  auto t = std::make_unique<txn::txn_desc>();
+  t->proc = &proc;
+  t->frags = std::move(frags);
+  t->resize_slots(proc.slot_count());
+  t->reset_runtime();
+  return t;
+}
+
+/// A transaction of one update with nothing to wait for.
+std::unique_ptr<txn::txn_desc> update_txn(const txn::procedure& proc,
+                                          std::uint64_t label) {
+  return make_txn(proc, {frag(txn::op_kind::update, 0, label)});
+}
+
+}  // namespace park_probe
+
+TEST(Executor, ParksBlockedEntryAndKeepsPerRecordOrder) {
+  // Queue: A consumes a slot nobody has produced yet, B has another key,
+  // C has A's key. The executor must park A, run B, and keep C behind A.
+  using txn::op_kind;
+  park_probe::reset();
+  const txn::procedure proc("probe", &park_probe::run, 1);
+  constexpr std::uint64_t kA = 1, kB = 2, kC = 3;
+  constexpr std::uint32_t kKeyAC = 7, kKeyB = 9;
+
+  // A's producer is fragment 0, never queued: the test thread produces.
+  auto ta = park_probe::make_txn(
+      proc, {park_probe::frag(op_kind::read, 0, 0),
+             park_probe::frag(op_kind::update, 1, kA)});
+  ta->frags[0].output_slot = 0;
+  ta->frags[1].input_mask = 1;
+  auto tb = park_probe::update_txn(proc, kB);
+  auto tc = park_probe::update_txn(proc, kC);
+
+  core::frag_queue q;
+  q.push({ta.get(), &ta->frags[1], 0, kKeyAC});
+  q.push({tb.get(), &tb->frags[0], 0, kKeyB});
+  q.push({tc.get(), &tc->frags[0], 0, kKeyAC});
+  const core::frag_queue* queues[] = {&q};
+
+  storage::database db;
+  const common::config cfg;
+  core::executor ex(0, cfg, db, nullptr);
+  ex.begin_batch(0);
+  std::thread worker([&] { ex.run_conflict_queues(queues); });
+  // B can only run ahead of A if A parked. Produce A's input either way,
+  // so a failure here never hangs the test.
+  if (!park_probe::wait_ran(kB)) {
+    ADD_FAILURE() << "B did not run while A waited";
+  }
+  ta->produce(0, 42);
+  worker.join();
+
+  EXPECT_EQ(park_probe::ran(), (std::vector<std::uint64_t>{kB, kA, kC}));
+}
+
+TEST(Executor, ConservativeUpdateParksOnPendingAbortable) {
+  // D updates while its transaction's abortable fragment (never queued:
+  // the test thread resolves it) is pending; E has another key, F has D's.
+  // Resolved as commit, D runs before F; resolved as abort, D is skipped.
+  using txn::op_kind;
+  const txn::procedure proc("probe", &park_probe::run, 1);
+  constexpr std::uint64_t kD = 4, kE = 5, kF = 6;
+  constexpr std::uint32_t kKeyDF = 11, kKeyE = 13;
+  for (const bool abort : {false, true}) {
+    SCOPED_TRACE(abort ? "abort" : "commit");
+    park_probe::reset();
+    auto check = park_probe::frag(op_kind::read, 0, 0);
+    check.abortable = true;
+    auto td = park_probe::make_txn(
+        proc, {check, park_probe::frag(op_kind::update, 1, kD)});
+    auto te = park_probe::update_txn(proc, kE);
+    auto tf = park_probe::update_txn(proc, kF);
+
+    core::frag_queue q;
+    q.push({td.get(), &td->frags[1], 0, kKeyDF});
+    q.push({te.get(), &te->frags[0], 0, kKeyE});
+    q.push({tf.get(), &tf->frags[0], 0, kKeyDF});
+    const core::frag_queue* queues[] = {&q};
+
+    storage::database db;
+    common::config cfg;
+    cfg.execution = common::exec_model::conservative;
+    core::executor ex(0, cfg, db, nullptr);
+    ex.begin_batch(0);
+    std::thread worker([&] { ex.run_conflict_queues(queues); });
+    if (!park_probe::wait_ran(kE)) {
+      ADD_FAILURE() << "E did not run while D waited";
+    }
+    // As the executor resolves an abortable: abort decision first.
+    if (abort) td->mark_aborted();
+    td->pending_abortables.fetch_sub(1, std::memory_order_acq_rel);
+    worker.join();
+
+    const auto want = abort ? std::vector<std::uint64_t>{kE, kF}
+                            : std::vector<std::uint64_t>{kE, kD, kF};
+    EXPECT_EQ(park_probe::ran(), want);
+  }
 }
 
 TEST(Engine, PhaseStatspopulated) {

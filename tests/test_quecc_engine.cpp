@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
+#include "obs/metrics.hpp"
 #include "test_util.hpp"
 #include "workload/bank.hpp"
 #include "workload/tpcc.hpp"
@@ -401,6 +402,106 @@ TEST(QueccEngine, ReadCommittedMatchesSerialStateForUpdates) {
 
   testutil::replay_in_seq_order(*db_serial, b);
   EXPECT_EQ(db_engine->state_hash(), db_serial->state_hash());
+}
+
+// --- parking: executors overtake waiting entries, results stay serial ------
+
+std::uint64_t counter(const std::string& name) {
+  for (const auto& [n, v] : obs::snapshot_metrics().counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+
+struct run_result {
+  std::uint64_t hash;
+  std::vector<std::vector<std::uint64_t>> fingerprints;
+};
+
+run_result run_parking_case(const storage::database& db0,
+                            std::vector<txn::batch>& batches, exec_model exec,
+                            isolation iso, worker_id_t executors,
+                            std::uint32_t depth) {
+  auto db = db0.clone();
+  config cfg;
+  cfg.planner_threads = 2;
+  cfg.executor_threads = executors;
+  cfg.execution = exec;
+  cfg.iso = iso;
+  cfg.pipeline_depth = depth;
+  for (auto& b : batches) b.reset_runtime();
+  {
+    core::quecc_engine eng(*db, cfg);
+    common::run_metrics m;
+    for (auto& b : batches) eng.submit_batch(b, m);
+    while (eng.drain_batch()) {
+    }
+  }
+  run_result out{db->state_hash(), {}};
+  for (const auto& b : batches) {
+    const auto fp = testutil::result_fingerprints(b);
+    out.fingerprints.insert(out.fingerprints.end(), fp.begin(), fp.end());
+  }
+  return out;
+}
+
+TEST(QueccEngine, ParkingMatchesSerialUnderContention) {
+  // Skewed, dependent, sometimes-aborting transactions: entries wait on
+  // slots and (conservative) on abortable fragments of other executors, so
+  // executors park and overtake. Per-record order must still give the
+  // serial state and the serial results.
+  wl::ycsb_config wcfg;
+  wcfg.table_size = 1024;
+  wcfg.zipf_theta = 0.99;
+  wcfg.read_ratio = 0.3;
+  wcfg.dependent_ops = true;
+  wcfg.abort_ratio = 0.05;
+  wl::ycsb w(wcfg);
+  const auto db0 = testutil::make_loaded_db(w);
+
+  common::rng r(31);
+  std::vector<txn::batch> batches;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    batches.push_back(w.make_batch(r, 512, i));
+  }
+  auto db_serial = db0->clone();
+  std::vector<std::vector<std::uint64_t>> serial_fps;
+  for (auto& b : batches) {
+    testutil::replay_in_seq_order(*db_serial, b);
+    const auto fp = testutil::result_fingerprints(b);
+    serial_fps.insert(serial_fps.end(), fp.begin(), fp.end());
+  }
+
+  const auto parked0 = counter("engine.exec_parked_total");
+  for (const auto iso : {isolation::serializable, isolation::read_committed}) {
+    for (const auto exec :
+         {exec_model::speculative, exec_model::conservative}) {
+      // Read-committed read-queue results are not serial-equivalent; the
+      // single-executor lockstep run, where nothing overtakes, is their
+      // reference.
+      const auto want_fps =
+          iso == isolation::serializable
+              ? serial_fps
+              : run_parking_case(*db0, batches, exec, iso, 1, 1).fingerprints;
+      for (const worker_id_t executors : {3, 4}) {
+        for (const std::uint32_t depth : {1u, 2u, 3u}) {
+          SCOPED_TRACE(std::string(common::to_string(exec)) + " " +
+                       common::to_string(iso) +
+                       " E=" + std::to_string(executors) +
+                       " depth=" + std::to_string(depth));
+          const auto got =
+              run_parking_case(*db0, batches, exec, iso, executors, depth);
+          EXPECT_EQ(got.hash, db_serial->state_hash());
+          EXPECT_EQ(got.fingerprints, want_fps);
+        }
+      }
+    }
+  }
+#if !defined(QUECC_OBS_COMPILED_OUT)
+  EXPECT_GT(counter("engine.exec_parked_total"), parked0);
+#else
+  (void)parked0;
+#endif
 }
 
 TEST(QueccEngine, LatencyRecordedPerTransaction) {
