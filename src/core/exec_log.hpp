@@ -8,7 +8,11 @@
 //    speculation manager rolls back selectively by seq; its read log
 //    answers "who accessed this record after the aborted writer", and
 //    under read-committed its undo entries are the dirtied rows the commit
-//    epilogue publishes;
+//    epilogue publishes. An executor fills it only for those readers:
+//    reads, before-images and undo entries in speculative batches that
+//    can abort at run time, update and insert entries without images
+//    (len == 0) in other read-committed batches, nothing otherwise
+//    (core/executor.hpp);
 //  * `proto::inplace_host` — the serial, H-Store and Calvin engines roll a
 //    logic-aborted transaction back to the mark taken at begin_txn;
 //  * the speculation manager's recovery pass, an inplace_host over one log

@@ -222,9 +222,7 @@ std::span<const std::byte> executor::read_row(const txn::fragment& f,
     // image; no read logging needed (immune to in-batch aborts).
     return committed_->committed_row(f.table, rid);
   }
-  if (cfg_.execution == common::exec_model::speculative) {
-    logs_.reads.push_back({t.seq, f.table, f.key});
-  }
+  if (log_speculation_) logs_.reads.push_back({t.seq, f.table, f.key});
   return db_.at(f.table).row(rid);
 }
 
@@ -233,12 +231,12 @@ std::span<std::byte> executor::update_row(const txn::fragment& f,
   const auto rid = resolve(f);
   if (rid == storage::kNoRow) return {};
   const auto row = db_.at(f.table).row(rid);
-  // Conservative mode keeps the entry without a before-image: aborted
-  // transactions never reach update_row, so the entry only feeds the
-  // read-committed publish list.
-  const bool keep_image = cfg_.execution == common::exec_model::speculative;
-  logs_.undo.add(t.seq, f.table, f.key, rid, txn::op_kind::update,
-                 keep_image ? row : std::span<std::byte>());
+  // Without speculation logging the entry keeps no before-image: nothing
+  // will roll it back, it only feeds the read-committed publish list.
+  if (log_writes_) {
+    logs_.undo.add(t.seq, f.table, f.key, rid, txn::op_kind::update,
+                   log_speculation_ ? row : std::span<std::byte>());
+  }
   return row;
 }
 
@@ -252,7 +250,9 @@ std::span<std::byte> executor::insert_row(const txn::fragment& f,
     table.retire_unindexed(rid);  // duplicate key: recycle the slot
     return {};
   }
-  logs_.undo.add(t.seq, f.table, f.key, rid, txn::op_kind::insert);
+  if (log_writes_) {
+    logs_.undo.add(t.seq, f.table, f.key, rid, txn::op_kind::insert);
+  }
   return row;
 }
 
@@ -260,7 +260,10 @@ bool executor::erase_row(const txn::fragment& f, txn::txn_desc& t) {
   const auto rid = resolve(f);
   if (rid == storage::kNoRow) return false;
   if (!db_.at(f.table).erase(f.key, f.part)) return false;
-  logs_.undo.add(t.seq, f.table, f.key, rid, txn::op_kind::erase);
+  // The RC publish skips erased rows: only recovery reads this entry.
+  if (log_speculation_) {
+    logs_.undo.add(t.seq, f.table, f.key, rid, txn::op_kind::erase);
+  }
   return true;
 }
 
@@ -270,8 +273,7 @@ bool executor::scan_rows(const txn::fragment& f, txn::txn_desc& t,
   // did NOT see: speculation recovery taints this transaction when an
   // affected writer touched *any* key in [key, key_hi), which is exactly
   // the phantom protection a per-row read log could not give.
-  if (!reading_committed_ &&
-      cfg_.execution == common::exec_model::speculative) {
+  if (!reading_committed_ && log_speculation_) {
     logs_.reads.push_back({t.seq, f.table, f.key, f.key_hi});
   }
   struct tramp_ctx {

@@ -18,6 +18,18 @@
 // Coordination is limited to the lock-free txn_context (data / commit
 // dependencies, abort flags); there is no per-record locking or validation
 // anywhere on this path.
+//
+// Logs (core/exec_log.hpp). An executor writes only what something will
+// read, decided once per batch in begin_batch from the planners' count of
+// transactions that can still abort at run time:
+//  * speculative execution, and the batch has such a transaction: every
+//    conflict-queue point read and scan range, a before-image per update,
+//    and an undo entry per write. spec_manager::recover reads them all;
+//  * otherwise, under read-committed: undo entries without images for
+//    updates and inserts, the rows the commit epilogue publishes;
+//  * otherwise nothing. A batch with nothing abortable at run time cannot
+//    abort, and conservative execution never applies a write of a
+//    transaction that aborts.
 #pragma once
 
 #include <array>
@@ -50,9 +62,24 @@ class executor final : public txn::frag_host {
   common::latency_histogram& latency() noexcept { return latency_; }
 
   /// Called by the engine at the start of each batch's execution phase.
-  void begin_batch(std::uint64_t batch_start_nanos) noexcept {
+  /// `runtime_abortables` counts the batch's transactions that can still
+  /// abort at run time (plan_output::runtime_abortables, summed over the
+  /// planners); it decides which logs this batch writes (see top).
+  EXEC_PHASE void begin_batch(std::uint64_t batch_start_nanos,
+                              std::uint32_t runtime_abortables) noexcept {
     batch_start_nanos_ = batch_start_nanos;
     logs_.clear();
+    log_speculation_ = logs_for_recovery(cfg_, runtime_abortables);
+    log_writes_ = log_speculation_ ||
+                  cfg_.iso == common::isolation::read_committed;
+  }
+
+  /// Whether a batch with `runtime_abortables` writes the logs speculative
+  /// recovery reads; the commit epilogue recovers only those batches.
+  EXEC_PHASE static bool logs_for_recovery(
+      const common::config& cfg, std::uint32_t runtime_abortables) noexcept {
+    return cfg.execution == common::exec_model::speculative &&
+           runtime_abortables != 0;
   }
 
   /// Drain conflict queues in the given (planner) order, keeping queue
@@ -133,6 +160,12 @@ class executor final : public txn::frag_host {
   common::latency_histogram latency_;
   std::uint64_t batch_start_nanos_ = 0;
   bool reading_committed_ = false;  ///< true while draining read queues
+  /// This batch logs reads and before-images (speculative recovery reads
+  /// them).
+  bool log_speculation_ = false;
+  /// This batch logs update and insert undo entries (recovery or the RC
+  /// publish reads them).
+  bool log_writes_ = false;
   /// Effective partition of the entry being processed; scan_rows scans it
   /// (the fragment itself may carry the kAllParts sentinel).
   part_id_t current_part_ = 0;

@@ -51,6 +51,7 @@ void plan_output::clear() {
   for (auto& q : conflict) q.clear();
   for (auto& q : reads) q.clear();
   planned_frags = 0;
+  runtime_abortables = 0;
 }
 
 bool planner::goes_to_read_queue(const txn::fragment& f,
@@ -166,6 +167,11 @@ void planner::plan(txn::batch& b, plan_output& out) {
   for (std::size_t i = begin; i < end; ++i) {
     txn::txn_desc& t = b.at(i);
     if (!run_plan_checks(t, host)) continue;  // aborted: plans nothing
+    // relaxed: written before submission or by run_plan_checks on this
+    // thread.
+    if (t.pending_abortables.load(std::memory_order_relaxed) != 0) {
+      ++out.runtime_abortables;
+    }
     const std::uint64_t writer_needed = rc ? writer_needed_slots(t) : 0;
     for (auto& f : t.frags) {
       if (decided_at_plan(f)) continue;  // resolved by run_plan_checks

@@ -43,6 +43,11 @@ struct plan_output {
   std::vector<frag_queue> conflict;  ///< size E, FIFO per executor
   std::vector<frag_queue> reads;     ///< size E under RC, else empty
   std::uint64_t planned_frags = 0;
+  /// Transactions of this slice whose abortable fragments are still
+  /// pending after the plan-time checks: only they can abort at run time.
+  /// Zero across every planner means the executors need no speculation
+  /// logs for the batch (core/executor.hpp).
+  std::uint32_t runtime_abortables = 0;
 
   void resize(worker_id_t executors, bool with_read_queues);
   void clear();

@@ -64,6 +64,11 @@
 // pair, and rollback. Batches without logic aborts return before building
 // anything.
 //
+// Inputs: the executor logs exist only for batches in which some
+// transaction can still abort at run time (plan_output::runtime_abortables
+// != 0); the engine calls recover for those batches only, and treats a
+// run-time abort in any other batch as a broken invariant.
+//
 // The outcome equals a serial execution of the batch in sequence order
 // with aborted transactions producing no effects — the determinism
 // contract.

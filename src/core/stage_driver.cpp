@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "common/thread_util.hpp"
@@ -94,6 +95,12 @@ void batch_slot::resolve_read_queues(storage::database& db) {
       }
     }
   }
+}
+
+std::uint32_t batch_slot::runtime_abortables() const noexcept {
+  std::uint32_t n = 0;
+  for (const plan_output& po : plan_outs) n += po.runtime_abortables;
+  return n;
 }
 
 stage_driver::stage_driver(storage::database& db, const common::config& cfg,
@@ -216,7 +223,7 @@ void stage_driver::executor_main(worker_id_t e) {
     }
     batch_slot& s = *sp;
     const std::uint64_t t0 = common::now_nanos();
-    ex.begin_batch(s.submit_nanos);
+    ex.begin_batch(s.submit_nanos, s.runtime_abortables());
     ex.run_conflict_queues(s.exec_queues[e]);
     if (!s.read_queues.empty()) {
       ex.run_read_queues(s.read_queues, s.read_cursor);
@@ -311,7 +318,7 @@ void stage_driver::run_epilogue(std::uint64_t n) {
   // fields (see planner.hpp).
   const std::uint64_t epi0 = common::now_nanos();
   if (hooks_ != nullptr) hooks_->pre_publish(b);
-  last_rec_ = batch_epilogue(b, m);
+  last_rec_ = batch_epilogue(b, m, s.runtime_abortables());
   // Commit record after the commit epilogue (statuses are final, and with
   // log_verify_hash it snapshots the post-recovery state hash); the
   // group-commit flusher picks it up. Epilogue order == submission order,
@@ -441,15 +448,21 @@ void stage_driver::run_batch(txn::batch& b, common::run_metrics& m) {
   }
 }
 
-recovery_stats stage_driver::batch_epilogue(txn::batch& b,
-                                            common::run_metrics& m) {
+recovery_stats stage_driver::batch_epilogue(
+    txn::batch& b, common::run_metrics& m, std::uint32_t runtime_abortables) {
   // Speculative recovery: resolve speculation dependencies (cascading
   // aborts + deterministic re-execution) of the aborts decided at run
   // time; transactions aborted at plan time ran nothing. Conservative
   // execution cannot expose dirty data, so aborted transactions already
-  // left no effects.
+  // left no effects. A batch without run-time abortables cannot abort at
+  // run time, so its executors logged nothing to recover from
+  // (executor::begin_batch).
   recovery_stats rec{};
-  if (cfg_.execution == common::exec_model::speculative) {
+  // Registered even when it stays 0, so every run reports it.
+  static const obs::counter logged_batches("spec.logged_batches_total");
+  const bool logged = executor::logs_for_recovery(cfg_, runtime_abortables);
+  if (logged) {
+    logged_batches.inc();
     std::vector<exec_logs*> logs;
     logs.reserve(pipe_.executors.size());
     for (auto& ex : pipe_.executors) logs.push_back(&ex->logs());
@@ -480,6 +493,11 @@ recovery_stats stage_driver::batch_epilogue(txn::batch& b,
 
   for (auto& t : b) {
     if (t->aborted()) {
+      if (runtime_abortables == 0 && !t->aborted_at_plan()) {
+        throw std::logic_error(
+            "run-time abort in a batch the planners found no run-time "
+            "abortable in");
+      }
       m.aborted += 1;
     } else {
       t->status.store(txn::txn_status::committed, std::memory_order_release);
@@ -501,7 +519,9 @@ recovery_stats stage_driver::batch_epilogue(txn::batch& b,
         if (u.op != txn::op_kind::erase) publish(u.table, u.rid);
       }
     }
-    for (const auto& [table, rid] : spec_.extra_dirty()) publish(table, rid);
+    if (logged) {
+      for (const auto& [table, rid] : spec_.extra_dirty()) publish(table, rid);
+    }
   }
 
   for (auto& ex : pipe_.executors) {

@@ -127,6 +127,10 @@ struct batch_slot {
   /// this under its stage mutex after batch n-1 published and before any
   /// executor of batch n starts, at every pipeline depth.
   EXEC_PHASE void resolve_read_queues(storage::database& db);
+
+  /// Transactions of the batch that can still abort at run time, summed
+  /// over the planners' outputs. Read only once the batch is planned.
+  EXEC_PHASE std::uint32_t runtime_abortables() const noexcept;
 };
 
 /// Planner/executor fabric: P planners, E executors, and a ring of
@@ -228,8 +232,10 @@ class stage_driver {
   /// Commit epilogue: speculative recovery, status marking, metrics, and
   /// read-committed publishing. dist-quecc's nodes share one process, so
   /// it too runs once globally — the paradigm's "no 2PC" commit.
-  EPILOGUE_PHASE recovery_stats batch_epilogue(txn::batch& b,
-                                               common::run_metrics& m);
+  /// `runtime_abortables` is the slot's count: without one, the executors
+  /// logged nothing for recovery, and no transaction may abort at run time.
+  EPILOGUE_PHASE recovery_stats batch_epilogue(
+      txn::batch& b, common::run_metrics& m, std::uint32_t runtime_abortables);
   /// Append batch b's batch record and return its end lsn.
   PLAN_PHASE std::uint64_t log_batch_record(const txn::batch& b);
   /// Append batch b's commit record (+ take a due checkpoint) and return

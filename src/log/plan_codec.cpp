@@ -118,22 +118,55 @@ commit_info decode_commit(std::span<const std::byte> in) {
   return c;
 }
 
-std::uint32_t crc32(std::span<const std::byte> data) noexcept {
-  // Table-driven CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
+namespace {
+
+/// Slicing-by-8 tables for CRC-32 (IEEE 802.3, reflected polynomial
+/// 0xEDB88320). Table 0 is the classic byte-wise table; table k advances a
+/// CRC over a byte followed by k zero bytes, so eight lookups fold eight
+/// input bytes at once.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    return t;
-  }();
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr auto kCrcTables = make_crc_tables();
+
+/// Four bytes as a little-endian word, whatever the host byte order.
+std::uint32_t load_le32(const std::byte* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+}  // namespace
+
+std::uint32_t crc32(std::span<const std::byte> data) noexcept {
+  const auto& t = kCrcTables;
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::byte b : data) {
-    c = table[(c ^ static_cast<std::uint8_t>(b)) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n != 0; ++p, --n) {
+    c = t[0][(c ^ static_cast<std::uint8_t>(*p)) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -77,6 +77,8 @@ commit_info decode_commit(std::span<const std::byte> in);
 
 /// CRC-32 (IEEE, reflected) over `data` — frames every log record and
 /// checkpoint file so torn or corrupt tails are detected, never replayed.
+/// Computed eight bytes at a time (slicing-by-8); the value is the classic
+/// byte-wise one.
 std::uint32_t crc32(std::span<const std::byte> data) noexcept;
 
 }  // namespace quecc::log

@@ -1,6 +1,6 @@
 // Unit tests: planner and executor mechanics in isolation — queue routing
 // invariants, priority order, read-queue eligibility, and the executor's
-// parking/skip behaviour.
+// parking/skip behaviour and which logs it writes.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -442,7 +442,7 @@ TEST(Executor, ParksBlockedEntryAndKeepsPerRecordOrder) {
   storage::database db;
   const common::config cfg;
   core::executor ex(0, cfg, db, nullptr);
-  ex.begin_batch(0);
+  ex.begin_batch(0, 0);
   std::thread worker([&] { ex.run_conflict_queues(queues); });
   // B can only run ahead of A if A parked. Produce A's input either way,
   // so a failure here never hangs the test.
@@ -483,7 +483,7 @@ TEST(Executor, ConservativeUpdateParksOnPendingAbortable) {
     common::config cfg;
     cfg.execution = common::exec_model::conservative;
     core::executor ex(0, cfg, db, nullptr);
-    ex.begin_batch(0);
+    ex.begin_batch(0, 1);
     std::thread worker([&] { ex.run_conflict_queues(queues); });
     if (!park_probe::wait_ran(kE)) {
       ADD_FAILURE() << "E did not run while D waited";
@@ -496,6 +496,139 @@ TEST(Executor, ConservativeUpdateParksOnPendingAbortable) {
     const auto want = abort ? std::vector<std::uint64_t>{kE, kF}
                             : std::vector<std::uint64_t>{kE, kD, kF};
     EXPECT_EQ(park_probe::ran(), want);
+  }
+}
+
+// --- what the executor logs, through core::executor on planned queues ------
+
+namespace log_probe {
+
+/// A YCSB batch in which only the transaction at `abortable_at` (if any)
+/// carries an abortable check; it passes, so nothing aborts. `carrier`
+/// owns that transaction's procedure.
+txn::batch make_batch(wl::ycsb& w, wl::ycsb& carrier, std::size_t n,
+                      std::size_t abortable_at) {
+  common::rng r(31);
+  txn::batch b;
+  for (std::size_t i = 0; i < n; ++i) {
+    b.add(i == abortable_at ? carrier.make_txn(r) : w.make_txn(r));
+  }
+  b.validate();
+  return b;
+}
+
+struct run {
+  std::uint32_t runtime_abortables = 0;
+  std::size_t reads = 0;
+  std::size_t undo = 0;
+  std::size_t images = 0;  ///< undo entries that kept a before-image
+  std::size_t updates = 0;
+};
+
+/// Plans `b` with one planner for one executor and drains the queues on
+/// this thread, passing the planner's count to begin_batch.
+run execute(storage::database& db, txn::batch& b, common::exec_model m,
+            common::isolation iso) {
+  common::config cfg = engine_cfg(1, 1);
+  cfg.execution = m;
+  cfg.iso = iso;
+  b.reset_runtime();
+  plan_output out;
+  planner(0, cfg, db).plan(b, out);
+  std::unique_ptr<storage::dual_version_store> committed;
+  if (iso == common::isolation::read_committed) {
+    committed = std::make_unique<storage::dual_version_store>(db);
+  }
+  core::executor ex(0, cfg, db, committed.get());
+  ex.begin_batch(0, out.runtime_abortables);
+  const core::frag_queue* conflict[] = {&out.conflict[0]};
+  ex.run_conflict_queues(conflict);
+  if (!out.reads.empty()) {
+    const core::frag_queue* reads[] = {&out.reads[0]};
+    std::atomic<std::size_t> cursor{0};
+    ex.run_read_queues(reads, cursor);
+  }
+  run got;
+  got.runtime_abortables = out.runtime_abortables;
+  got.reads = ex.logs().reads.size();
+  got.undo = ex.logs().undo.size();
+  for (const auto& u : ex.logs().undo.entries) {
+    if (u.len != 0) ++got.images;
+  }
+  for (const auto& t : b) {
+    EXPECT_FALSE(t->aborted()) << "seq " << t->seq;
+    for (const auto& f : t->frags) {
+      if (f.kind == txn::op_kind::update) ++got.updates;
+    }
+  }
+  return got;
+}
+
+}  // namespace log_probe
+
+TEST(Executor, SkipsEveryLogWhenNothingCanAbortAtRunTime) {
+  auto w = make_workload();
+  auto db = testutil::make_loaded_db(w);
+  auto b = log_probe::make_batch(w, w, 64, ~std::size_t{0});
+  for (const auto m : {common::exec_model::speculative,
+                       common::exec_model::conservative}) {
+    SCOPED_TRACE(common::to_string(m));
+    const auto got =
+        log_probe::execute(*db, b, m, common::isolation::serializable);
+    EXPECT_EQ(got.runtime_abortables, 0u);
+    EXPECT_GT(got.updates, 0u);
+    EXPECT_EQ(got.reads, 0u);
+    EXPECT_EQ(got.undo, 0u);
+  }
+}
+
+TEST(Executor, ReadCommittedLogsUndoEntriesWithoutImages) {
+  // The RC publish list reads undo entries, so they stay; nothing reads
+  // reads or before-images.
+  auto w = make_workload();
+  auto db = testutil::make_loaded_db(w);
+  auto b = log_probe::make_batch(w, w, 64, ~std::size_t{0});
+  for (const auto m : {common::exec_model::speculative,
+                       common::exec_model::conservative}) {
+    SCOPED_TRACE(common::to_string(m));
+    const auto got =
+        log_probe::execute(*db, b, m, common::isolation::read_committed);
+    EXPECT_EQ(got.undo, got.updates);
+    EXPECT_EQ(got.images, 0u);
+    EXPECT_EQ(got.reads, 0u);
+  }
+}
+
+TEST(Executor, OneRunTimeAbortableLogsReadsAndImagesForTheWholeBatch) {
+  auto w = make_workload();
+  wl::ycsb_config carrier_cfg = w.cfg();
+  carrier_cfg.abort_ratio = 1e-12;  // carries the check; never doomed
+  wl::ycsb carrier(carrier_cfg);
+  auto db = testutil::make_loaded_db(w);
+  for (const std::size_t at : {std::size_t{0}, std::size_t{40}}) {
+    SCOPED_TRACE("abortable at " + std::to_string(at));
+    auto b = log_probe::make_batch(w, carrier, 64, at);
+    const auto spec =
+        log_probe::execute(*db, b, common::exec_model::speculative,
+                           common::isolation::serializable);
+    EXPECT_EQ(spec.runtime_abortables, 1u);
+    // Every point read is logged, the check included.
+    std::size_t reads = 0;
+    for (const auto& t : b) {
+      for (const auto& f : t->frags) {
+        if (f.kind == txn::op_kind::read) ++reads;
+      }
+    }
+    EXPECT_EQ(spec.reads, reads);
+    EXPECT_EQ(spec.undo, spec.updates);
+    EXPECT_EQ(spec.images, spec.updates);
+    // Conservative execution never rolls back: still nothing to log.
+    const auto cons =
+        log_probe::execute(*db, b, common::exec_model::conservative,
+                           common::isolation::serializable);
+    EXPECT_EQ(cons.runtime_abortables, 1u);
+    EXPECT_EQ(cons.reads, 0u);
+    EXPECT_EQ(cons.undo, 0u);
   }
 }
 

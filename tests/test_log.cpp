@@ -149,6 +149,35 @@ TEST(PlanCodec, CommitInfoRoundTrip) {
   EXPECT_EQ(d.state_hash, c.state_hash);
 }
 
+/// The byte-at-a-time CRC-32 the log format was defined with.
+std::uint32_t bytewise_crc32(std::span<const std::byte> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::byte b : data) {
+    c ^= static_cast<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesTheCheckValueAndTheBytewiseDefinition) {
+  const std::string check = "123456789";
+  EXPECT_EQ(log::crc32(std::as_bytes(std::span(check))), 0xCBF43926u);
+
+  common::rng r(99);
+  std::vector<std::byte> buf(std::size_t{1} << 20);
+  for (auto& b : buf) b = static_cast<std::byte>(r.next() & 0xFF);
+  // Every length below a few words at every alignment: the eight-byte
+  // loop, the byte-wise tail, and both together.
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const std::byte> s(buf.data() + off, len);
+      EXPECT_EQ(log::crc32(s), bytewise_crc32(s))
+          << "offset " << off << " length " << len;
+    }
+  }
+  EXPECT_EQ(log::crc32(buf), bytewise_crc32(buf));
+}
+
 // --- log writer -------------------------------------------------------------
 
 std::vector<std::byte> bytes_of(const std::string& s) {

@@ -12,12 +12,16 @@
 //   * rolled-back inserts free their row slots (TPC-C full mix, depths 1
 //     and 2), and an inplace_host over a kept undo log (the recovery
 //     pass's) frees each slot exactly once, whether or not the log is
-//     unwound afterwards.
+//     unwound afterwards;
+//   * executors log for recovery only in batches with a run-time
+//     abortable, and every workload still equals serial with and without
+//     those logs (depths 1-3, spec/cons, ser/rc, dist-quecc on two nodes).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <functional>
 #include <string>
+#include <tuple>
 
 #include "core/engine.hpp"
 #include "core/planner.hpp"
@@ -782,6 +786,142 @@ TEST_P(PlanTimeAborts, MatchSerialWithoutRecoveryOrCommitWaits) {
   if (rc) return;
   std::vector<std::vector<std::uint64_t>> serial_fps;
   for (const auto& b : batches) {
+    const auto fp = testutil::result_fingerprints(b);
+    serial_fps.insert(serial_fps.end(), fp.begin(), fp.end());
+  }
+  EXPECT_EQ(got.fingerprints, serial_fps);
+}
+
+// --- logging only what recovery or the RC publish reads ---------------------
+
+/// Batches with their database, and the workloads that own the batches'
+/// procedures.
+struct log_fixture {
+  std::vector<std::unique_ptr<wl::workload>> owners;
+  std::unique_ptr<storage::database> db;
+  std::vector<txn::batch> batches;
+  /// Batches with a run-time abortable: a speculative run logs for these.
+  std::uint64_t abortable_batches = 0;
+};
+
+struct log_workload {
+  const char* name;
+  std::function<log_fixture()> make;
+};
+
+wl::ycsb_config log_ycsb_cfg(double abort_ratio) {
+  wl::ycsb_config wc;
+  wc.table_size = 4096;
+  wc.zipf_theta = 0.8;
+  wc.abort_ratio = abort_ratio;
+  return wc;
+}
+
+/// Three batches of 512 from a `W` built from `cfg`, with its database.
+template <typename W, typename Cfg>
+log_fixture three_batches(Cfg cfg, std::uint64_t seed,
+                          std::uint64_t abortable_batches) {
+  log_fixture fx;
+  auto w = std::make_unique<W>(cfg);
+  fx.db = testutil::make_loaded_db(*w);
+  common::rng r(seed);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    fx.batches.push_back(w->make_batch(r, 512, i));
+  }
+  fx.owners.push_back(std::move(w));
+  fx.abortable_batches = abortable_batches;
+  return fx;
+}
+
+const log_workload kLogWorkloads[] = {
+    {"ycsb_no_aborts",
+     [] { return three_batches<wl::ycsb>(log_ycsb_cfg(0), 61, 0); }},
+    // Every transaction carries an abortable check, so every batch logs.
+    {"ycsb_aborts",
+     [] { return three_batches<wl::ycsb>(log_ycsb_cfg(0.05), 62, 3); }},
+    // Doomed NewOrders abort at plan time: nothing is left to log.
+    {"tpcc_full",
+     [] {
+       wl::tpcc_config wc = full_mix_cfg();
+       wc.warehouses = 1;  // loading dominates; one warehouse keeps it cheap
+       return three_batches<wl::tpcc>(wc, 63, 0);
+     }},
+    {"bank",
+     [] { return three_batches<wl::bank>(wl::bank_config{}, 64, 3); }},
+    // The middle batch carries exactly one run-time abortable, which fires.
+    {"one_abortable",
+     [] {
+       log_fixture fx;
+       auto w = std::make_unique<wl::ycsb>(log_ycsb_cfg(0));
+       auto doomed = std::make_unique<wl::ycsb>(log_ycsb_cfg(1.0));
+       fx.db = testutil::make_loaded_db(*w);
+       common::rng r(65);
+       for (std::uint32_t i = 0; i < 3; ++i) {
+         txn::batch b(i);
+         for (std::size_t k = 0; k < 512; ++k) {
+           b.add(i == 1 && k == 300 ? doomed->make_txn(r) : w->make_txn(r));
+         }
+         b.validate();
+         fx.batches.push_back(std::move(b));
+       }
+       fx.owners.push_back(std::move(w));
+       fx.owners.push_back(std::move(doomed));
+       fx.abortable_batches = 1;
+       return fx;
+     }},
+};
+
+std::vector<plan_time_case> log_configs() {
+  std::vector<plan_time_case> out;
+  for (const std::uint32_t depth : {1u, 2u, 3u}) {
+    for (const exec_model m :
+         {exec_model::speculative, exec_model::conservative}) {
+      for (const isolation iso :
+           {isolation::serializable, isolation::read_committed}) {
+        out.push_back({"", m, iso, depth, 1});
+      }
+    }
+  }
+  out.push_back({"", exec_model::speculative, isolation::serializable, 2, 2});
+  out.push_back({"", exec_model::conservative, isolation::serializable, 2, 2});
+  return out;
+}
+
+class SpeculationLogs
+    : public testing::TestWithParam<std::tuple<log_workload, plan_time_case>> {
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, SpeculationLogs,
+    testing::Combine(testing::ValuesIn(kLogWorkloads),
+                     testing::ValuesIn(log_configs())),
+    [](const auto& info) {
+      const log_workload& w = std::get<0>(info.param);
+      const plan_time_case& c = std::get<1>(info.param);
+      return std::string(w.name) + "_" +
+             (c.exec == exec_model::speculative ? "spec" : "cons") + "_" +
+             (c.iso == isolation::serializable ? "ser" : "rc") + "_d" +
+             std::to_string(c.depth) + "_n" + std::to_string(c.nodes);
+    });
+
+TEST_P(SpeculationLogs, MatchSerialAndLogOnlyBatchesThatCanAbort) {
+  const auto& [w, c] = GetParam();
+  log_fixture fx = w.make();
+  auto serial = fx.db->clone();
+  [[maybe_unused]] const auto logged0 = counter("spec.logged_batches_total");
+  const engine_run got = run_case(c, *fx.db, fx.batches);
+#if !defined(QUECC_OBS_COMPILED_OUT)
+  const bool spec = c.exec == exec_model::speculative;
+  EXPECT_EQ(counter("spec.logged_batches_total") - logged0,
+            spec ? fx.abortable_batches : 0);
+#endif
+
+  for (auto& b : fx.batches) testutil::replay_in_seq_order(*serial, b);
+  EXPECT_EQ(got.hash, serial->state_hash());
+  // Read-committed read-queue results are not serial-equivalent.
+  if (c.iso == isolation::read_committed) return;
+  std::vector<std::vector<std::uint64_t>> serial_fps;
+  for (const auto& b : fx.batches) {
     const auto fp = testutil::result_fingerprints(b);
     serial_fps.insert(serial_fps.end(), fp.begin(), fp.end());
   }
