@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Project lint: clang-tidy (profile in .clang-tidy) plus the custom
-# concurrency lints that clang-tidy has no check for. Drives itself off the
+# concurrency and layering lints that clang-tidy has no check for. Drives itself off the
 # compile database exported by CMake (CMAKE_EXPORT_COMPILE_COMMANDS=ON).
 #
 #   scripts/lint.sh [build-dir]     # default build dir: ./build
@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
 # ---------------------------------------------------------------------------
-# Custom concurrency lints. Three rules:
+# Custom lints. Four rules:
 #
 # 1. No raw standard-library lock primitives outside common/mutex.hpp.
 #    std::mutex & friends carry no thread-safety attributes, so code using
@@ -33,6 +33,11 @@ BUILD_DIR="${1:-build}"
 #    preceding lines. A covered relaxed line extends cover to relaxed
 #    lines within the next four lines, so one comment may justify an
 #    adjacent cluster ("relaxed (all stores below): ...").
+#
+# 4. __builtin_prefetch appears only under src/storage/. Prefetch hints
+#    for rows and index buckets need address arithmetic on row ids and
+#    keys; the storage API that owns valid row ids does it
+#    (storage/prefetch.hpp), so no other layer computes such addresses.
 # ---------------------------------------------------------------------------
 python3 - <<'PY'
 import pathlib
@@ -103,11 +108,26 @@ for path in sorted(SRC.rglob("*.[ch]pp")):
                 f"{rel}:{i}: memory_order_relaxed without a justifying "
                 "comment (say why relaxed is sound within the 4 lines above)")
 
+# Rule 4: software prefetch lives in the storage layer only. Every C++
+# source of the project is checked, not just src/.
+PREFETCH = re.compile(r"\b__builtin_prefetch\b")
+for top in ("src", "tests", "bench", "examples"):
+    for path in sorted(pathlib.Path(top).rglob("*.[ch]pp")):
+        rel = path.as_posix()
+        if rel.startswith("src/storage/"):
+            continue
+        for i, line in enumerate(path.read_text().splitlines(), 1):
+            if PREFETCH.search(code_part(line)):
+                errors.append(
+                    f"{rel}:{i}: __builtin_prefetch outside src/storage/ — "
+                    "use the storage prefetch API (storage/prefetch.hpp, "
+                    "table::prefetch_key / prefetch_row)")
+
 if errors:
     print("\n".join(errors))
     print(f"\nlint: {len(errors)} finding(s)", file=sys.stderr)
     sys.exit(1)
-print("lint: custom concurrency lints clean")
+print("lint: custom lints clean")
 PY
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,14 @@
 
 #include "common/spinlock.hpp"
 #include "obs/metrics.hpp"
+#include "storage/prefetch.hpp"
 
 namespace quecc::core {
 
 void executor::run_conflict_queues(
     std::span<const frag_queue* const> queues) {
   reading_committed_ = false;
-  for (const frag_queue* q : queues) {
-    for (const frag_entry& e : *q) admit(e);
-  }
+  for (const frag_queue* q : queues) run_queue(*q);
   drain_parked();
   flush_counts();
 }
@@ -34,11 +33,35 @@ void executor::run_read_queues(std::span<const frag_queue* const> queues,
     // plan->exec stage hand-off, claiming needs atomicity only.
     const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
     if (i >= queues.size()) break;
-    for (const frag_entry& e : *queues[i]) admit(e);
+    run_queue(*queues[i]);
   }
   drain_parked();
   flush_counts();
   reading_committed_ = false;
+}
+
+void executor::run_queue(const frag_queue& q) {
+  const std::span<const frag_entry> es = q.entries();
+  const std::size_t n = es.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kDescAhead < n) {
+      // The executor writes the transaction's counters and status.
+      const frag_entry& ahead = es[i + kDescAhead];
+      storage::prefetch_object(*ahead.f);
+      storage::prefetch_object(*ahead.t, /*for_write=*/true);
+    }
+    if (i + kBucketAhead < n) prefetch_slot_and_bucket(es[i + kBucketAhead]);
+    admit(es[i]);
+  }
+}
+
+void executor::prefetch_slot_and_bucket(const frag_entry& e) const noexcept {
+  const txn::fragment& f = *e.f;
+  if (f.output_slot != txn::kNoSlot) {
+    storage::prefetch_object(e.t->slot(f.output_slot), /*for_write=*/true);
+  }
+  if (f.rid != storage::kNoRow || f.kind == txn::op_kind::scan) return;
+  db_.at(f.table).prefetch_key(f.key, f.part);
 }
 
 void executor::admit(const frag_entry& e) {

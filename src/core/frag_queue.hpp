@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "txn/fragment.hpp"
@@ -59,6 +60,7 @@ class frag_queue {
   std::size_t size() const noexcept { return entries_.size(); }
   bool empty() const noexcept { return entries_.empty(); }
 
+  std::span<const frag_entry> entries() const noexcept { return entries_; }
   auto begin() const { return entries_.begin(); }
   auto end() const { return entries_.end(); }
 

@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include "storage/prefetch.hpp"
+
 namespace quecc::storage {
 
 namespace {
@@ -63,6 +65,10 @@ row_id_t hash_index::lookup(key_t key) const noexcept {
     }
   }
   return kNoRow;
+}
+
+void hash_index::prefetch(key_t key) const noexcept {
+  prefetch_object(bucket_for(key).head);
 }
 
 bool hash_index::insert(key_t key, row_id_t row) {

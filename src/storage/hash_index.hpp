@@ -32,6 +32,7 @@
 #include "common/spinlock.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/types.hpp"
+#include "storage/huge_pages.hpp"
 #include "storage/index_backend.hpp"
 
 namespace quecc::storage {
@@ -47,6 +48,11 @@ class hash_index final : public index_backend {
   /// Lock-free lookup (see header comment); returns kNoRow when absent
   /// (including tombstoned keys).
   row_id_t lookup(key_t key) const noexcept override;
+
+  /// Prefetch the key's bucket head node: the lines lookup reads first.
+  /// Overflow nodes are not followed (that would need the loads the hint
+  /// is meant to hide).
+  void prefetch(key_t key) const noexcept override;
 
   /// Insert; returns false when the key already exists (live). Re-inserting
   /// a tombstoned key reclaims its slot.
@@ -127,7 +133,8 @@ class hash_index final : public index_backend {
   // hold the key's stripe, readers need none (node chains publish via
   // release/acquire, entries are tombstoned in place, never freed) — is
   // enforced by TSAN and documented in the header comment instead.
-  std::vector<bucket> buckets_;
+  /// On huge pages (storage/huge_pages.hpp): lookups hit it at random.
+  std::vector<bucket, huge_page_allocator<bucket>> buckets_;
   std::vector<common::spinlock> locks_;
   std::atomic<std::size_t> live_{0};
   std::uint64_t mask_ = 0;

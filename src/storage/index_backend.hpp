@@ -53,6 +53,15 @@ class index_backend {
   /// Lock-free: safe concurrently with writers, takes no lock of any kind.
   virtual row_id_t lookup(key_t key) const noexcept = 0;
 
+  /// Hint that `lookup(key)` (or insert/erase of `key`) comes soon: pull
+  /// the memory it will read first into the cache. Only a hint — it reads
+  /// no entry, returns nothing and changes no state, and the lookup that
+  /// follows must still be made. A backend whose first access depends on
+  /// a chain of loads (the ordered skip list) keeps this no-op: the walk
+  /// itself is the cost, and only the hash backend can name its bucket
+  /// from the key alone.
+  virtual void prefetch(key_t /*key*/) const noexcept {}
+
   /// Insert; returns false when the key already exists (live). Re-inserting
   /// a tombstoned key reclaims its slot.
   virtual bool insert(key_t key, row_id_t row) = 0;

@@ -62,7 +62,8 @@ row_id_t table::allocate_row(part_id_t part) {
       return make_rid(s, slot);
     }
   }
-  const std::uint64_t slot = sh.next_row.fetch_add(1, std::memory_order_acq_rel);
+  const std::uint64_t slot =
+      sh.next_row.fetch_add(1, std::memory_order_acq_rel);
   if (slot >= sh.capacity) {
     throw std::length_error("table '" + name_ + "' shard " +
                             std::to_string(s) + " exceeded capacity " +
@@ -75,7 +76,7 @@ void table::retire_unindexed(row_id_t rid) {
   shard& sh = *shards_[rid_shard(rid)];
   // No key maps to the slot, so no other thread references it; reset the
   // bytes and protocol metadata a previous occupant may have left behind.
-  std::memset(sh.slots.get() + rid_slot(rid) * row_size_, 0, row_size_);
+  std::memset(sh.slots.data() + rid_slot(rid) * row_size_, 0, row_size_);
   row_meta& m = sh.meta[rid_slot(rid)];
   // relaxed: unreferenced slot (no key maps to it); publication to the next
   // owner happens through the free_lock + free_count release below.
@@ -128,14 +129,14 @@ std::uint64_t table::state_hash() const {
 bool table::bind_shard_to_node(part_id_t s, unsigned node) {
   shard& sh = *shards_[s];
   const bool slab_ok = common::bind_memory_to_node(
-      sh.slots.get(), sh.capacity * row_size_, node);
+      sh.slots.data(), sh.capacity * row_size_, node);
   // Meta rides along (baseline protocols hammer it from the same
   // executor); its failure does not demote the slab's binding.
   if (!sh.meta.empty()) {
     common::bind_memory_to_node(sh.meta.data(),
                                 sh.meta.size() * sizeof(row_meta), node);
   }
-  const int actual = common::node_of_address(sh.slots.get());
+  const int actual = common::node_of_address(sh.slots.data());
   sh.numa_node = actual >= 0 ? actual : (slab_ok ? static_cast<int>(node) : -1);
   return slab_ok;
 }

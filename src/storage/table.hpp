@@ -36,6 +36,7 @@
 #include "common/spinlock.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/types.hpp"
+#include "storage/huge_pages.hpp"
 #include "storage/index_backend.hpp"
 #include "storage/schema.hpp"
 
@@ -108,7 +109,7 @@ class table {
   /// the dual-version store.
   std::span<const std::byte> shard_slab(part_id_t s) const {
     const shard& sh = *shards_[s];
-    return {sh.slots.get(), sh.capacity * row_size_};
+    return {sh.slots.data(), sh.capacity * row_size_};
   }
 
   /// Read-only tables replicated at every partition (TPC-C's ITEM):
@@ -148,11 +149,11 @@ class table {
   // --- row access ---------------------------------------------------------
   std::span<std::byte> row(row_id_t rid) noexcept {
     shard& sh = *shards_[rid_shard(rid)];
-    return {sh.slots.get() + rid_slot(rid) * row_size_, row_size_};
+    return {sh.slots.data() + rid_slot(rid) * row_size_, row_size_};
   }
   std::span<const std::byte> row(row_id_t rid) const noexcept {
     const shard& sh = *shards_[rid_shard(rid)];
-    return {sh.slots.get() + rid_slot(rid) * row_size_, row_size_};
+    return {sh.slots.data() + rid_slot(rid) * row_size_, row_size_};
   }
   row_meta& meta(row_id_t rid) noexcept {
     return shards_[rid_shard(rid)]->meta[rid_slot(rid)];
@@ -175,6 +176,12 @@ class table {
   /// writers (see index_backend.hpp).
   row_id_t lookup(key_t key, part_id_t part = 0) const noexcept {
     return shards_[home_shard(part)]->index->lookup(key);
+  }
+
+  /// Prefetch the index memory a lookup of `key` in `part`'s home shard
+  /// reads first (index_backend::prefetch; a no-op on ordered tables).
+  void prefetch_key(key_t key, part_id_t part = 0) const noexcept {
+    shards_[home_shard(part)]->index->prefetch(key);
   }
 
   /// Allocate a fresh slot in `part`'s home shard (concurrent-safe)
@@ -282,11 +289,12 @@ class table {
   /// One partition's arena: row slab + meta + index shard + allocator.
   struct shard {
     shard(std::size_t cap, std::size_t row_size, index_kind k)
-        : slots(std::make_unique<std::byte[]>(row_size * cap)),
+        : slots(row_size * cap),
           meta(cap),
           index(make_index(k, cap)),
           capacity(cap) {}
-    std::unique_ptr<std::byte[]> slots;
+    /// Row slab, zero-filled; on huge pages (storage/huge_pages.hpp).
+    std::vector<std::byte, huge_page_allocator<std::byte>> slots;
     std::vector<row_meta> meta;
     std::unique_ptr<index_backend> index;
     std::atomic<std::uint64_t> next_row{0};

@@ -133,6 +133,11 @@ class txn_desc {
     return slots_[slot].value.load(std::memory_order_acquire);
   }
 
+  /// A slot itself, for prefetching it ahead of a produce or a readiness
+  /// check (core/executor.hpp); read and write it through the members
+  /// above.
+  const value_slot& slot(std::uint16_t s) const noexcept { return slots_[s]; }
+
   /// Snapshot of slot values + status for result-determinism comparisons.
   std::vector<std::uint64_t> result_fingerprint() const;
 

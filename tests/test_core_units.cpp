@@ -1,11 +1,13 @@
 // Unit tests: planner and executor mechanics in isolation — queue routing
 // invariants, priority order, read-queue eligibility, and the executor's
-// parking/skip behaviour and which logs it writes.
+// parking/skip behaviour, which logs it writes, and that its lookahead
+// prefetch is only a hint.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <map>
 #include <numeric>
 #include <thread>
@@ -13,6 +15,7 @@
 #include "core/engine.hpp"
 #include "core/executor.hpp"
 #include "core/planner.hpp"
+#include "storage/dual_version.hpp"
 #include "test_util.hpp"
 #include "workload/ycsb.hpp"
 
@@ -629,6 +632,289 @@ TEST(Executor, OneRunTimeAbortableLogsReadsAndImagesForTheWholeBatch) {
     EXPECT_EQ(cons.runtime_abortables, 1u);
     EXPECT_EQ(cons.reads, 0u);
     EXPECT_EQ(cons.undo, 0u);
+  }
+}
+
+// --- lookahead prefetch, through core::executor with hand-built queues ------
+//
+// The executor prefetches fragments, transactions and index buckets up to
+// 16 entries ahead of the one it runs (core/executor.hpp). A prefetch is a
+// hint only: these queues put an erase or an insert of a key a few entries
+// before reads and updates of it, inside every lookahead window, and check
+// that every entry sees what the serial run in queue order sees.
+
+namespace lookahead {
+
+constexpr std::uint64_t kAbsent = ~std::uint64_t{0};
+enum logic : std::uint16_t { read, rmw, insert, erase, scan };
+
+/// One-fragment probe transactions; each produces slot 0: the FIELD0 a
+/// read saw, the value an rmw wrote, the value an insert wrote, 1/0 for
+/// whether an erase found its row, the FIELD0 sum of a scan — kAbsent
+/// where the row was missing.
+txn::frag_status run(const txn::fragment& f, txn::txn_desc& t,
+                     txn::frag_host& h) {
+  std::uint64_t v = kAbsent;
+  switch (static_cast<logic>(f.logic)) {
+    case read: {
+      const auto row = h.read_row(f, t);
+      if (!row.empty()) v = storage::read_u64(row, 0);
+      break;
+    }
+    case rmw: {
+      const auto row = h.update_row(f, t);
+      if (!row.empty()) {
+        v = storage::read_u64(row, 0) + f.aux;
+        storage::write_u64(row, 0, v);
+      }
+      break;
+    }
+    case insert: {
+      const auto row = h.insert_row(f, t);
+      if (!row.empty()) {
+        v = f.aux;
+        storage::write_u64(row, 0, v);
+      }
+      break;
+    }
+    case erase:
+      v = h.erase_row(f, t) ? 1 : 0;
+      break;
+    case scan: {
+      std::uint64_t sum = 0;
+      h.scan_rows(
+          f, t,
+          [](void* ctx, key_t, std::span<const std::byte> row) {
+            *static_cast<std::uint64_t*>(ctx) += storage::read_u64(row, 0);
+            return true;
+          },
+          &sum);
+      v = sum;
+      break;
+    }
+  }
+  t.produce(0, v);
+  return txn::frag_status::ok;
+}
+
+const txn::procedure proc("lookahead", &run, 1);
+
+constexpr key_t kLoaded = 64;  ///< keys [0, kLoaded) are loaded, FIELD0 = 100k
+
+std::unique_ptr<storage::database> make_db(storage::index_kind k,
+                                           part_id_t shards) {
+  auto db = std::make_unique<storage::database>();
+  storage::schema s({{"FIELD0", storage::col_type::u64, 8},
+                     {"FIELD1", storage::col_type::u64, 8}});
+  s.with_index(k);
+  auto& tab = db->create_table("t", s, 4 * kLoaded, shards);
+  for (key_t key = 0; key < kLoaded; ++key) {
+    std::array<std::byte, 8> row{};
+    std::uint64_t v = 100 * key;
+    std::memcpy(row.data(), &v, sizeof v);
+    tab.insert(key, row, static_cast<part_id_t>(key % shards));
+  }
+  return db;
+}
+
+/// One step of a queue: logic, key, operand (scans: the exclusive upper key).
+struct step {
+  logic op;
+  key_t key;
+  std::uint64_t aux = 0;
+};
+
+/// `n` reads of loaded keys from `from` on: fillers that put the steps
+/// after them past every lookahead distance.
+std::vector<step> fillers(key_t from, std::size_t n) {
+  std::vector<step> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back({read, static_cast<key_t>((from + i) % kLoaded)});
+  }
+  return out;
+}
+
+std::vector<step> concat(std::initializer_list<std::vector<step>> parts) {
+  std::vector<step> out;
+  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
+  return out;
+}
+
+struct txns {
+  std::vector<std::unique_ptr<txn::txn_desc>> all;
+  core::frag_queue queue;
+};
+
+txns build(const std::vector<step>& steps, part_id_t shards) {
+  txns out;
+  for (const step& s : steps) {
+    txn::fragment f;
+    f.table = 0;
+    f.key = s.key;
+    f.part = static_cast<part_id_t>(s.key % shards);
+    f.logic = s.op;
+    f.output_slot = 0;
+    if (s.op == scan) {
+      f.kind = txn::op_kind::scan;
+      f.key_hi = s.aux;
+    } else {
+      f.kind = s.op == read     ? txn::op_kind::read
+               : s.op == rmw    ? txn::op_kind::update
+               : s.op == insert ? txn::op_kind::insert
+                                : txn::op_kind::erase;
+      f.aux = s.aux;
+    }
+    out.all.push_back(park_probe::make_txn(proc, {f}));
+    auto& t = *out.all.back();
+    // Conflict key: the record (scans: the table's one shard), as routing
+    // gives it.
+    const auto ckey =
+        static_cast<std::uint32_t>(s.op == scan ? ~key_t{0} : s.key);
+    out.queue.push({&t, &t.frags[0], f.part, ckey});
+  }
+  return out;
+}
+
+struct outcome {
+  std::vector<std::uint64_t> values;  ///< each transaction's slot 0
+  std::uint64_t state_hash = 0;
+};
+
+/// Drain `steps` as one conflict queue of one executor.
+outcome run_executor(storage::database& db, const std::vector<step>& steps,
+                     part_id_t shards) {
+  auto q = build(steps, shards);
+  const common::config cfg;
+  core::executor ex(0, cfg, db, nullptr);
+  ex.begin_batch(0, 0);
+  const core::frag_queue* queues[] = {&q.queue};
+  ex.run_conflict_queues(queues);
+  outcome out;
+  for (const auto& t : q.all) out.values.push_back(t->slot_value(0));
+  out.state_hash = db.state_hash();
+  return out;
+}
+
+/// The same steps, run serially in queue order.
+outcome run_serial(storage::database& db, const std::vector<step>& steps,
+                   part_id_t shards) {
+  auto q = build(steps, shards);
+  proto::inplace_host host(db);
+  outcome out;
+  for (const auto& t : q.all) {
+    host.begin_txn();
+    EXPECT_TRUE(proto::run_txn_serially(*t, host));
+    out.values.push_back(t->slot_value(0));
+  }
+  out.state_hash = db.state_hash();
+  return out;
+}
+
+/// Run `steps` through the executor and serially on equal databases and
+/// expect the same values and state; returns the executor's values.
+std::vector<std::uint64_t> expect_serial(storage::index_kind k,
+                                         part_id_t shards,
+                                         const std::vector<step>& steps) {
+  auto exec_db = make_db(k, shards);
+  auto serial_db = make_db(k, shards);
+  const auto got = run_executor(*exec_db, steps, shards);
+  const auto want = run_serial(*serial_db, steps, shards);
+  EXPECT_EQ(got.values, want.values);
+  EXPECT_EQ(got.state_hash, want.state_hash);
+  return got.values;
+}
+
+/// Key K erased at entry i; reads and rmws of K follow at i+1..i+4, so
+/// every lookahead stage saw K's row before the erase ran. Then K is
+/// inserted again and read back, and a fresh key is inserted and read.
+std::vector<step> erase_insert_steps() {
+  constexpr key_t K = 5, fresh = 1000;
+  return concat({fillers(10, 20),
+                 {{erase, K}, {read, K}, {rmw, K, 7}, {read, K}, {rmw, K, 3}},
+                 fillers(30, 4),
+                 {{insert, K, 555}, {read, K}, {rmw, K, 5}, {read, K}},
+                 {{insert, fresh, 900}, {rmw, fresh, 1}, {read, fresh}},
+                 fillers(40, 20)});
+}
+
+}  // namespace lookahead
+
+TEST(ExecutorLookahead, EmptyAndShortQueues) {
+  using namespace lookahead;
+  // An empty queue, and queues shorter than every lookahead distance.
+  for (const auto& steps : {std::vector<step>{},
+                            std::vector<step>{{rmw, 3, 1}},
+                            std::vector<step>{{rmw, 3, 1}, {read, 3}}}) {
+    const auto got = expect_serial(storage::index_kind::hash, 2, steps);
+    ASSERT_EQ(got.size(), steps.size());
+    if (!got.empty()) {
+      EXPECT_EQ(got[0], 301u);
+    }
+  }
+}
+
+TEST(ExecutorLookahead, EraseInsideTheWindowHidesTheRow) {
+  using namespace lookahead;
+  const auto steps = erase_insert_steps();
+  const auto got = expect_serial(storage::index_kind::hash, 2, steps);
+  // The erase, then four accesses of the erased key: no row.
+  EXPECT_EQ(got[20], 1u);
+  for (std::size_t i = 21; i < 25; ++i) EXPECT_EQ(got[i], kAbsent) << i;
+}
+
+TEST(ExecutorLookahead, InsertInsideTheWindowShowsTheNewRow) {
+  using namespace lookahead;
+  const auto steps = erase_insert_steps();
+  const auto got = expect_serial(storage::index_kind::hash, 2, steps);
+  // Re-insert of the erased key, then read, rmw, read of the new row.
+  EXPECT_EQ((std::vector<std::uint64_t>(got.begin() + 29, got.begin() + 33)),
+            (std::vector<std::uint64_t>{555, 555, 560, 560}));
+  // A fresh key: insert, rmw, read.
+  EXPECT_EQ((std::vector<std::uint64_t>(got.begin() + 33, got.begin() + 36)),
+            (std::vector<std::uint64_t>{900, 901, 901}));
+}
+
+TEST(ExecutorLookahead, OrderedIndexTablePrefetchIsANoOp) {
+  using namespace lookahead;
+  // One shard, so a scan sees every row in both runs.
+  auto steps = erase_insert_steps();
+  steps.insert(steps.begin() + 22, {scan, 0, kLoaded});
+  steps.push_back({scan, 0, 2000});
+  const auto got = expect_serial(storage::index_kind::ordered, 1, steps);
+  EXPECT_EQ(got[21], kAbsent);
+  EXPECT_NE(got.back(), kAbsent);
+}
+
+TEST(ExecutorLookahead, ReadQueuesReadPreResolvedCommittedImages) {
+  using namespace lookahead;
+  constexpr part_id_t kShards = 2;
+  auto db = make_db(storage::index_kind::hash, kShards);
+  storage::dual_version_store committed(*db);
+  // Working rows move on; the committed image keeps the loaded values.
+  auto& tab = db->at(0);
+  for (key_t key = 0; key < kLoaded; ++key) {
+    const auto rid = tab.lookup(key, static_cast<part_id_t>(key % kShards));
+    storage::write_u64(tab.row(rid), 0, 1);
+  }
+  // Loaded keys with their rid resolved, one absent key left unresolved.
+  std::vector<step> steps = fillers(0, 40);
+  steps.insert(steps.begin() + 20, {read, 5000});
+  auto q = build(steps, kShards);
+  for (const auto& t : q.all) {
+    auto& f = t->frags[0];
+    f.rid = tab.lookup(f.key, f.part);
+  }
+  common::config cfg;
+  cfg.iso = common::isolation::read_committed;
+  core::executor ex(0, cfg, *db, &committed);
+  ex.begin_batch(0, 0);
+  const core::frag_queue* queues[] = {&q.queue};
+  std::atomic<std::size_t> cursor{0};
+  ex.run_read_queues(queues, cursor);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const std::uint64_t want =
+        steps[i].key < kLoaded ? 100 * steps[i].key : kAbsent;
+    EXPECT_EQ(q.all[i]->slot_value(0), want) << i;
   }
 }
 

@@ -99,7 +99,11 @@ common::config dist_cfg(std::uint16_t nodes, std::uint32_t latency_us = 20) {
 class DistNodes : public testing::TestWithParam<std::uint16_t> {};
 INSTANTIATE_TEST_SUITE_P(Nodes, DistNodes, testing::Values(1, 2, 3, 4),
                          [](const auto& info) {
-                           return "N" + std::to_string(info.param);
+                           // Built with += : gcc 12 draws a -Wrestrict
+                           // false positive from "N" + std::string.
+                           std::string name = "N";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST_P(DistNodes, DistQueccMatchesSerial) {

@@ -24,9 +24,14 @@ struct engine_params {
 };
 
 std::string param_name(const testing::TestParamInfo<engine_params>& info) {
-  return "P" + std::to_string(info.param.planners) + "E" +
-         std::to_string(info.param.executors) + "_" +
-         (info.param.exec == exec_model::speculative ? "spec" : "cons");
+  // Built with += : gcc 12 draws a -Wrestrict false positive from
+  // "P" + std::string.
+  std::string name = "P";
+  name += std::to_string(info.param.planners);
+  name += "E";
+  name += std::to_string(info.param.executors);
+  name += info.param.exec == exec_model::speculative ? "_spec" : "_cons";
+  return name;
 }
 
 config make_cfg(const engine_params& p) {

@@ -370,7 +370,7 @@ TEST(InplaceHost, KeptLogReusesARolledBackSlotAndUnwindsCleanly) {
   EXPECT_NE(tab.allocate_row(), tab.allocate_row());
 }
 
-// --- end to end ---------------------------------------------------------------
+// --- end to end --------------------------------------------------------------
 
 #if defined(QUECC_OBS_COMPILED_OUT)
 #define OBS_SKIP_IF_COMPILED_OUT() \
@@ -538,7 +538,11 @@ class SlotReuse : public testing::TestWithParam<std::uint32_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Depths, SlotReuse, testing::Values(1u, 2u),
                          [](const auto& info) {
-                           return "D" + std::to_string(info.param);
+                           // Built with += : gcc 12 draws a -Wrestrict
+                           // false positive from "D" + std::string.
+                           std::string name = "D";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST_P(SlotReuse, RolledBackInsertsFreeTheirSlots) {

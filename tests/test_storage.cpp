@@ -1,13 +1,17 @@
 // Unit tests: storage substrate (schema, index, table, database, versions).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <numeric>
 #include <thread>
 #include <vector>
 
 #include "storage/database.hpp"
 #include "storage/dual_version.hpp"
 #include "storage/hash_index.hpp"
+#include "storage/huge_pages.hpp"
 #include "storage/schema.hpp"
 
 namespace quecc::storage {
@@ -300,6 +304,7 @@ TEST(HashIndex, SizeAndLockFreeLookupSafeUnderConcurrentWriters) {
   std::thread reader([&] {
     key_t k = 0;
     while (!done.load(std::memory_order_acquire)) {
+      reads.fetch_add(1, std::memory_order_relaxed);
       const std::size_t s = idx.size();
       ASSERT_LE(s, static_cast<std::size_t>(kWriters) * kPerWriter);
       const row_id_t r = idx.lookup(k);
@@ -308,12 +313,14 @@ TEST(HashIndex, SizeAndLockFreeLookupSafeUnderConcurrentWriters) {
         ASSERT_EQ(r, k * 10);
       }
       k = (k + 7) % (kWriters * kPerWriter);
-      reads.fetch_add(1, std::memory_order_relaxed);
     }
   });
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&idx, w] {
+    writers.emplace_back([&idx, &reads, w] {
+      // Start once the reader runs, so its lookups overlap the writes even
+      // when the scheduler is slow to start it.
+      while (reads.load() == 0) std::this_thread::yield();
       for (key_t i = 0; i < kPerWriter; ++i) {
         const key_t k = i * kWriters + w;
         idx.insert(k, k * 10);
@@ -402,6 +409,96 @@ TEST(DualVersion, SnapshotsAndPublishes) {
 
   dv.publish(db, 0, rid);
   EXPECT_EQ(read_u64(dv.committed_row(0, rid), 0), 42u);
+}
+
+// --- prefetch hints and huge-page backing -----------------------------------
+// A prefetch is a hint: it must be safe on any key or valid row id, and
+// must change no lookup result, size or state hash.
+
+TEST(HashIndex, PrefetchChangesNothingOnAbsentTombstonedAndChainedKeys) {
+  // 16 buckets of 4 inline slots for 300 keys: most buckets chain overflow
+  // nodes, so some keys live past the bucket head the prefetch covers.
+  hash_index idx(16);
+  for (key_t k = 0; k < 300; ++k) ASSERT_TRUE(idx.insert(k * 3, k));
+  for (key_t k = 0; k < 300; k += 5) ASSERT_TRUE(idx.erase(k * 3));
+  const auto snapshot = [&idx] {
+    std::vector<row_id_t> out;
+    for (key_t k = 0; k < 1000; ++k) out.push_back(idx.lookup(k));
+    return out;
+  };
+  const auto before = snapshot();
+  const std::size_t size = idx.size();
+  // Live, tombstoned, absent and chained keys, and the extremes.
+  for (key_t k = 0; k < 1000; ++k) idx.prefetch(k);
+  idx.prefetch(kInvalidKey);
+  EXPECT_EQ(snapshot(), before);
+  EXPECT_EQ(idx.size(), size);
+  EXPECT_EQ(before[3], 1u);        // live
+  EXPECT_EQ(before[15], kNoRow);   // tombstoned
+  EXPECT_EQ(before[4], kNoRow);    // never inserted
+}
+
+TEST(Table, PrefetchKeyOnEveryShardChangesNothing) {
+  for (const index_kind k : {index_kind::hash, index_kind::ordered}) {
+    SCOPED_TRACE(index_kind_name(k));
+    auto s = two_col_schema();
+    s.with_index(k);
+    database db;
+    auto& t = db.create_table("t", s, 256, /*shards=*/4);
+    std::vector<std::byte> p(20);
+    for (key_t key = 0; key < 128; ++key) {
+      write_u64(std::span<std::byte>(p), 0, key * 11);
+      ASSERT_NE(t.insert(key, p, static_cast<part_id_t>(key % 4)), kNoRow);
+    }
+    ASSERT_TRUE(t.erase(6, 2));
+    const std::uint64_t hash = db.state_hash();
+    // Keys of every shard's partition: live, erased and absent, each also
+    // under every other partition, where it is absent.
+    for (key_t key = 0; key < 200; ++key) {
+      for (part_id_t part = 0; part < 4; ++part) t.prefetch_key(key, part);
+    }
+    EXPECT_EQ(db.state_hash(), hash);
+    EXPECT_EQ(t.live_rows(), 127u);
+    for (part_id_t sh = 0; sh < 4; ++sh) {
+      EXPECT_EQ(t.live_rows_in(sh), sh == 2 ? 31u : 32u);
+    }
+    EXPECT_EQ(t.lookup(6, 2), kNoRow);
+    for (key_t key = 7; key < 128; ++key) {
+      const auto rid = t.lookup(key, static_cast<part_id_t>(key % 4));
+      ASSERT_NE(rid, kNoRow);
+      EXPECT_EQ(read_u64(t.row(rid), 0), key * 11);
+    }
+  }
+}
+
+TEST(HugePages, LargeBlocksAreAlignedAndZeroed) {
+  std::vector<std::byte, huge_page_allocator<std::byte>> big(kHugePage + 100);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.data()) % kHugePage, 0u);
+  EXPECT_TRUE(std::all_of(big.begin(), big.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+  big.back() = std::byte{7};  // the tail past the last whole huge page
+  EXPECT_EQ(big.back(), std::byte{7});
+  std::vector<int, huge_page_allocator<int>> small(10, 3);
+  EXPECT_EQ(std::accumulate(small.begin(), small.end(), 0), 30);
+}
+
+TEST(HugePages, TableSlabSpanningHugePagesKeepsEveryRow) {
+  // 16-byte rows: 2^17 + 64 of them fill one whole huge page and a tail.
+  const schema s({{"A", col_type::u64, 8}, {"B", col_type::u64, 8}});
+  const std::size_t rows = kHugePage / 16 + 64;
+  table t(0, "t", s, rows);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(t.shard_slab(0).data()) %
+                kHugePage,
+            0u);
+  std::vector<std::byte> p(16);
+  for (key_t key = 0; key < rows; ++key) {
+    write_u64(std::span<std::byte>(p), 0, key);
+    ASSERT_NE(t.insert(key, p), kNoRow);
+  }
+  for (key_t key = 0; key < rows; key += 997) {
+    EXPECT_EQ(read_u64(t.row(t.lookup(key)), 0), key);
+  }
+  EXPECT_EQ(read_u64(t.row(t.lookup(rows - 1)), 0), rows - 1);
 }
 
 }  // namespace
