@@ -82,8 +82,7 @@ inline common::run_metrics run_engine(
 ///     "counters"/"gauges"/"histograms": <obs registry scrape> }
 ///
 /// The file lands in $QUECC_BENCH_JSON_DIR (default: the working
-/// directory). CI validates at least one of these per run, and the
-/// perf-trajectory tooling diffs them across commits.
+/// directory). CI validates at least one of these per run.
 class json_report {
  public:
   explicit json_report(std::string bench_name)

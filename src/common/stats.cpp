@@ -84,10 +84,15 @@ std::string latency_histogram::summary() const {
   return os.str();
 }
 
+void run_metrics::merge_txn_outcomes(const run_metrics& worker) {
+  committed += worker.committed;
+  aborted += worker.aborted;
+  cc_aborts += worker.cc_aborts;
+  txn_latency.merge(worker.txn_latency);
+}
+
 void run_metrics::merge(const run_metrics& other) {
-  committed += other.committed;
-  aborted += other.aborted;
-  cc_aborts += other.cc_aborts;
+  merge_txn_outcomes(other);
   batches += other.batches;
   messages += other.messages;
   elapsed_seconds = std::max(elapsed_seconds, other.elapsed_seconds);
@@ -95,7 +100,6 @@ void run_metrics::merge(const run_metrics& other) {
   exec_busy_seconds += other.exec_busy_seconds;
   epilogue_busy_seconds += other.epilogue_busy_seconds;
   pipeline_overlap_seconds += other.pipeline_overlap_seconds;
-  txn_latency.merge(other.txn_latency);
   queue_latency.merge(other.queue_latency);
   e2e_latency.merge(other.e2e_latency);
 }

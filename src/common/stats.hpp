@@ -142,6 +142,11 @@ struct run_metrics {
   }
 
   void merge(const run_metrics& other);
+  /// Add a worker thread's per-transaction outcomes: committed, aborted,
+  /// cc_aborts and txn_latency. Unlike merge() it leaves queue_latency and
+  /// e2e_latency alone, which proto::session's completer records into the
+  /// same run_metrics while an engine retires a batch.
+  void merge_txn_outcomes(const run_metrics& worker);
   std::string summary(const std::string& label) const;
 };
 

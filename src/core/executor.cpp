@@ -181,7 +181,7 @@ void executor::drain_parked() {
   // retrying its parked ones, so it runs; then the next one does. The
   // argument runs over the conflict queues first, then the read queues:
   // conflict-queue entries never wait on read-queue ones
-  // (planner::writer_needed_slots), and every executor claims read queues
+  // (core::writer_needed_slots), and every executor claims read queues
   // until none are left before it drains its parked entries.
   //
   // Only here, with nothing runnable, does the executor wait. The wait is

@@ -54,14 +54,10 @@ void plan_output::clear() {
   runtime_abortables = 0;
 }
 
-bool planner::goes_to_read_queue(const txn::fragment& f,
-                                 std::uint64_t writer_needed) const noexcept {
-  // Under read-committed isolation, pure reads are planned into dedicated
-  // read queues served from committed versions by any executor (paper
-  // Section 3.2, "Isolation Levels"). Abortable reads stay in conflict
-  // queues (the abort decision must see the serializable image), and so do
-  // reads feeding conflict-queue fragments (liveness, see header).
-  if (cfg_.iso != common::isolation::read_committed) return false;
+bool goes_to_read_queue(const txn::fragment& f,
+                        std::uint64_t writer_needed) noexcept {
+  // Paper Section 3.2, "Isolation Levels": pure reads are planned into
+  // dedicated read queues served from committed versions by any executor.
   if (f.kind != txn::op_kind::read || f.abortable) return false;
   return f.output_slot == txn::kNoSlot ||
          ((writer_needed >> f.output_slot) & 1) == 0;
@@ -125,7 +121,7 @@ bool planner::run_plan_checks(txn::txn_desc& t, txn::frag_host& h) const {
   return true;
 }
 
-std::uint64_t planner::writer_needed_slots(const txn::txn_desc& t) noexcept {
+std::uint64_t writer_needed_slots(const txn::txn_desc& t) noexcept {
   std::uint64_t needed = 0;
   for (auto it = t.frags.rbegin(); it != t.frags.rend(); ++it) {
     // Scans never qualify for the read queues (goes_to_read_queue requires
@@ -196,7 +192,7 @@ void planner::plan(txn::batch& b, plan_output& out) {
       }
       std::uint32_t key;
       const auto e = route(f, f.part, key);
-      if (goes_to_read_queue(f, writer_needed)) {
+      if (rc && goes_to_read_queue(f, writer_needed)) {
         out.reads[e].push({&t, &f, f.part, key});
       } else {
         out.conflict[e].push({&t, &f, f.part, key});

@@ -53,6 +53,27 @@ struct plan_output {
   void clear();
 };
 
+/// The read-committed routing rule. Under read-committed isolation the
+/// planner sends `f` to a read queue, served from the previous batch's
+/// committed image, exactly when this holds; everything else keeps
+/// conflict-queue FIFO ordering. Speculative recovery re-executes tainted
+/// transactions by the same rule (core/spec_manager.hpp), so a re-run read
+/// observes the image its first run did.
+///
+/// Pure, non-abortable reads qualify; abortable reads stay in conflict
+/// queues (the abort decision must see the serializable image).
+/// `writer_needed` is writer_needed_slots() of the fragment's transaction:
+/// a read producing a slot that conflict-queue fragments consume stays in
+/// the conflict queues, otherwise an executor draining conflict queues
+/// could wait on a slot whose producer sits in a not-yet-claimed read
+/// queue (deadlock).
+bool goes_to_read_queue(const txn::fragment& f,
+                        std::uint64_t writer_needed) noexcept;
+
+/// Backward pass computing the mask of slots transitively consumed by
+/// conflict-queue fragments of `t`.
+std::uint64_t writer_needed_slots(const txn::txn_desc& t) noexcept;
+
 class planner {
  public:
   planner(worker_id_t id, const common::config& cfg, storage::database& db)
@@ -77,19 +98,6 @@ class planner {
       "reads only replicated tables, which no transaction writes, so the "
       "reads cannot race with the execution planning overlaps")
   bool run_plan_checks(txn::txn_desc& t, txn::frag_host& h) const;
-
-  /// Pure read fragments are eligible for the RC read queues; everything
-  /// else keeps conflict-queue FIFO ordering. `writer_needed` is the mask
-  /// of slots transitively consumed by conflict-queue fragments of the same
-  /// transaction: a read producing such a slot must stay in the conflict
-  /// queues, otherwise an executor draining conflict queues could wait on a
-  /// slot whose producer sits in a not-yet-claimed read queue (deadlock).
-  PLAN_PHASE bool goes_to_read_queue(const txn::fragment& f,
-                                     std::uint64_t writer_needed) const noexcept;
-
-  /// Backward pass computing the writer-needed slot mask for one txn.
-  PLAN_PHASE static std::uint64_t writer_needed_slots(
-      const txn::txn_desc& t) noexcept;
 
   /// Queue routing: node by home partition, executor within the node by a
   /// per-record hash (intra-partition parallelism) — except for tables on

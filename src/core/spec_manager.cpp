@@ -191,8 +191,9 @@ std::uint32_t spec_manager::build_index(std::span<exec_logs* const> logs,
   return split;
 }
 
-recovery_stats spec_manager::recover(txn::batch& b,
-                                     std::span<exec_logs* const> logs) {
+recovery_stats spec_manager::recover(
+    txn::batch& b, std::span<exec_logs* const> logs,
+    const storage::dual_version_store* committed) {
   recovery_stats stats;
   extra_dirty_.clear();
 
@@ -277,7 +278,7 @@ recovery_stats spec_manager::recover(txn::batch& b,
   // committed re-runs' effects, which escalation unwinds.
   pass_log_.clear();
   bool abort_flipped = false;
-  proto::inplace_host pass(db_, &extra_dirty_, &pass_log_);
+  proto::inplace_host pass(db_, &extra_dirty_, &pass_log_, committed);
   for (std::size_t i = 0; i < n; ++i) {
     if (!affected_[i]) continue;
     txn::txn_desc& t = b.at(i);
@@ -306,7 +307,7 @@ recovery_stats spec_manager::recover(txn::batch& b,
   const std::uint64_t t5 = common::now_nanos();
 
   extra_dirty_.clear();
-  proto::inplace_host host(db_, &extra_dirty_);
+  proto::inplace_host host(db_, &extra_dirty_, nullptr, committed);
   for (auto& tp : b) {
     tp->reset_runtime();
     proto::run_txn_serially(*tp, host);

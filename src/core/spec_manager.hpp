@@ -45,7 +45,9 @@
 //     inplace_host over an undo log kept for the whole pass; deterministic
 //     logic aborts repeat, stay aborted and roll back at once (freeing
 //     their inserted slots), so the log keeps only committed re-runs;
-//     dirty-read victims now commit with clean values.
+//     dirty-read victims now commit with clean values. Under
+//     read-committed isolation, reads the planner routed to read queues
+//     re-read the previous batch's committed image, as they first did.
 //  Escalation — if a re-run flips an abort into a commit, the
 //     transaction may now write records it never wrote originally, whose
 //     later readers were not tainted. The pass's log is rolled back to
@@ -82,6 +84,7 @@
 #include "common/phase_annotations.hpp"
 #include "core/exec_log.hpp"
 #include "storage/database.hpp"
+#include "storage/dual_version.hpp"
 #include "txn/batch.hpp"
 
 namespace quecc::core {
@@ -108,9 +111,13 @@ class spec_manager {
   /// Run recovery over `b` given every executor's logs (indexed by
   /// executor id). Leaves aborted transactions with txn_status::aborted
   /// and re-committed ones with txn_status::active (the engine epilogue
-  /// marks commits). Returns what happened for metrics.
-  EPILOGUE_PHASE recovery_stats recover(txn::batch& b,
-                                        std::span<exec_logs* const> logs);
+  /// marks commits). Returns what happened for metrics. Under
+  /// read-committed isolation `committed` is the committed-version store,
+  /// still holding the previous batch's image: re-executions serve the
+  /// reads the planner sent to read queues from it, as the executors did.
+  EPILOGUE_PHASE recovery_stats recover(
+      txn::batch& b, std::span<exec_logs* const> logs,
+      const storage::dual_version_store* committed = nullptr);
 
   /// Rows dirtied by recovery re-execution; the engine merges these into
   /// the read-committed publish set.

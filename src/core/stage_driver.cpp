@@ -466,7 +466,7 @@ recovery_stats stage_driver::batch_epilogue(
     std::vector<exec_logs*> logs;
     logs.reserve(pipe_.executors.size());
     for (auto& ex : pipe_.executors) logs.push_back(&ex->logs());
-    rec = spec_.recover(b, logs);
+    rec = spec_.recover(b, logs, committed_.get());
     m.cc_aborts += rec.cascades;
     static const obs::counter recoveries("spec.recoveries_total");
     static const obs::counter cascades("spec.cascade_aborts_total");

@@ -21,23 +21,45 @@ dist_calvin_engine::dist_calvin_engine(storage::database& db,
   cfg_.validate();
 }
 
+namespace {
+
+/// Calls fn(p) for every partition `f` touches: all of them for a kAllParts
+/// scan, its home partition otherwise.
+template <typename Fn>
+void for_each_part(const txn::fragment& f, part_id_t parts, Fn fn) {
+  if (f.part != txn::kAllParts) {
+    fn(f.part);
+    return;
+  }
+  for (part_id_t p = 0; p < parts; ++p) fn(p);
+}
+
+}  // namespace
+
 void dist_calvin_engine::lock_set(
     const txn::txn_desc& t,
     std::vector<std::tuple<net::node_id_t, std::uint64_t, bool>>& out) const {
   out.clear();
   for (const auto& f : t.frags) {
-    const std::uint64_t rec = record_hash(f.table, f.key);
-    const net::node_id_t node = pl_.node_of_part(f.part);
+    // Tables on an ordered index lock per (table, partition), the unit
+    // quecc routes them by (core/planner.cpp): a scan conflicts with every
+    // key in its range, inserts and erases included, which point locks
+    // cannot order.
+    const bool ordered =
+        db_.at(f.table).index() == storage::index_kind::ordered;
     const bool exclusive = f.updates_database();
-    bool found = false;
-    for (auto& [n, r, x] : out) {
-      if (r == rec) {
-        x = x || exclusive;  // strongest required mode
-        found = true;
-        break;
+    for_each_part(f, cfg_.partitions, [&](part_id_t p) {
+      const std::uint64_t rec = record_hash(f.table, ordered ? p : f.key);
+      bool found = false;
+      for (auto& [n, r, x] : out) {
+        if (r == rec) {
+          x = x || exclusive;  // strongest required mode
+          found = true;
+          break;
+        }
       }
-    }
-    if (!found) out.emplace_back(node, rec, exclusive);
+      if (!found) out.emplace_back(pl_.node_of_part(p), rec, exclusive);
+    });
   }
 }
 
@@ -146,13 +168,14 @@ void dist_calvin_engine::run_batch(txn::batch& b, common::run_metrics& m) {
     auto& parts = participants_[i];
     parts.clear();
     for (const auto& f : t.frags) {
-      const net::node_id_t n = pl_.node_of_part(f.part);
-      bool found = false;
-      for (const net::node_id_t p : parts) found = found || p == n;
-      if (!found) parts.push_back(n);
+      for_each_part(f, cfg_.partitions, [&](part_id_t q) {
+        const net::node_id_t n = pl_.node_of_part(q);
+        bool found = false;
+        for (const net::node_id_t p : parts) found = found || p == n;
+        if (!found) parts.push_back(n);
+      });
     }
-    home_[i] = t.frags.empty() ? net::node_id_t{0}
-                               : pl_.node_of_part(t.frags.front().part);
+    home_[i] = parts.empty() ? net::node_id_t{0} : parts.front();
     lock_set(t, lock_sets_[i]);
     // relaxed: pre-pass, before workers start (see above).
     pending_locks_[i].store(static_cast<std::uint32_t>(lock_sets_[i].size()),
@@ -172,7 +195,7 @@ void dist_calvin_engine::run_batch(txn::batch& b, common::run_metrics& m) {
   schedule(b);  // the folded per-node deterministic lock schedulers
   pool_->end_round();
 
-  for (auto& wm : worker_metrics_) m.merge(wm);
+  for (auto& wm : worker_metrics_) m.merge_txn_outcomes(wm);
   m.messages += net_.messages_sent();
   m.batches += 1;
   m.elapsed_seconds += sw.seconds();

@@ -7,7 +7,9 @@
 // A sequencer replicates the batch input to every node, each node's
 // deterministic lock scheduler walks the replicated sequence acquiring
 // locks for locally-homed records in sequence order (strictly FIFO grants
-// per record, so execution is equivalent to sequence order), and workers
+// per record, so execution is equivalent to sequence order; a record of a
+// table on an ordered index is a whole partition of it, so range scans
+// order against the writes inside their range), and workers
 // execute transactions once every lock is granted — thread-to-transaction
 // assignment, the paper's Section 5 contrast with thread-to-queue.
 //

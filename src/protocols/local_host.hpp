@@ -7,7 +7,9 @@
 // logs every mutation into a core::undo_log so a deterministic logic abort
 // rolls the transaction back immediately (rollback_to the mark taken at
 // begin_txn), and optionally records dirtied rows for read-committed
-// publishing.
+// publishing. Given a committed-version store, it serves the reads the
+// planner sends to read-committed read queues from that store, as the
+// executors did (recovery's re-execution under read-committed isolation).
 #pragma once
 
 #include <cstring>
@@ -17,7 +19,9 @@
 
 #include "common/phase_annotations.hpp"
 #include "core/exec_log.hpp"
+#include "core/planner.hpp"
 #include "storage/database.hpp"
+#include "storage/dual_version.hpp"
 #include "txn/procedure.hpp"
 
 namespace quecc::proto {
@@ -29,11 +33,18 @@ class inplace_host final : public txn::frag_host {
   /// host never clears: a rolled-back transaction truncates its own
   /// entries, so `kept` holds exactly the committed transactions' effects
   /// since its owner last cleared it, and rollback_to(db, 0) unwinds them.
+  /// With `committed`, read-queue reads (core::goes_to_read_queue) return
+  /// the committed image of the row their queue entry resolved before the
+  /// batch ran (fragment::rid), not the working row.
   explicit inplace_host(
       storage::database& db,
       std::vector<std::pair<table_id_t, storage::row_id_t>>* dirty = nullptr,
-      core::undo_log* kept = nullptr)
-      : db_(db), dirty_(dirty), log_(kept != nullptr ? kept : &own_) {}
+      core::undo_log* kept = nullptr,
+      const storage::dual_version_store* committed = nullptr)
+      : db_(db),
+        dirty_(dirty),
+        log_(kept != nullptr ? kept : &own_),
+        committed_(committed) {}
   // log_ may point into this object.
   inplace_host(const inplace_host&) = delete;
   inplace_host& operator=(const inplace_host&) = delete;
@@ -48,7 +59,14 @@ class inplace_host final : public txn::frag_host {
   void rollback_txn() { log_->rollback_to(db_, mark_); }
 
   EXEC_PHASE std::span<const std::byte> read_row(const txn::fragment& f,
-                                                 txn::txn_desc&) override {
+                                                 txn::txn_desc& t) override {
+    // The mask is recomputed per read: only read-committed re-execution
+    // passes a store, and transactions hold a few fragments.
+    if (committed_ != nullptr &&
+        core::goes_to_read_queue(f, core::writer_needed_slots(t))) {
+      if (f.rid == storage::kNoRow) return {};
+      return committed_->committed_row(f.table, f.rid);
+    }
     // Partition-local: home arena, no index lock (frag_host contract —
     // conflicting ops on a key are already serialized upstream).
     const auto rid = db_.at(f.table).lookup(f.key, f.part);
@@ -131,6 +149,7 @@ class inplace_host final : public txn::frag_host {
   std::vector<std::pair<table_id_t, storage::row_id_t>>* dirty_;
   core::undo_log own_;
   core::undo_log* log_;   ///< &own_, or the caller's kept log
+  const storage::dual_version_store* committed_;  ///< read-committed image
   std::size_t mark_ = 0;  ///< log_->size() at begin_txn
 };
 

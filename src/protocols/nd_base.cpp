@@ -100,7 +100,7 @@ void nd_engine_base::run_batch(txn::batch& b, common::run_metrics& m) {
 
   pool_->run_round();
 
-  for (auto& wm : worker_metrics_) m.merge(wm);
+  for (auto& wm : worker_metrics_) m.merge_txn_outcomes(wm);
   m.batches += 1;
   m.elapsed_seconds += sw.seconds();
 }

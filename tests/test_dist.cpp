@@ -1,6 +1,7 @@
-// Tests for the simulated cluster: network semantics, distributed
-// queue-oriented engine, and distributed Calvin — multi-node correctness,
-// message accounting, and cross-engine equivalence.
+// Tests for the simulated cluster: network semantics, partition placement,
+// and message accounting of the distributed queue-oriented engine and
+// distributed Calvin. Their equivalence with serial execution at 1-4 nodes
+// is test_oracle's.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -11,7 +12,6 @@
 #include "net/network.hpp"
 #include "test_util.hpp"
 #include "workload/bank.hpp"
-#include "workload/tpcc.hpp"
 #include "workload/ycsb.hpp"
 
 namespace quecc {
@@ -94,111 +94,6 @@ common::config dist_cfg(std::uint16_t nodes, std::uint32_t latency_us = 20) {
   cfg.partitions = static_cast<part_id_t>(nodes * 2);
   cfg.net_latency_micros = latency_us;
   return cfg;
-}
-
-class DistNodes : public testing::TestWithParam<std::uint16_t> {};
-INSTANTIATE_TEST_SUITE_P(Nodes, DistNodes, testing::Values(1, 2, 3, 4),
-                         [](const auto& info) {
-                           // Built with += : gcc 12 draws a -Wrestrict
-                           // false positive from "N" + std::string.
-                           std::string name = "N";
-                           name += std::to_string(info.param);
-                           return name;
-                         });
-
-TEST_P(DistNodes, DistQueccMatchesSerial) {
-  wl::ycsb_config wcfg;
-  wcfg.table_size = 4096;
-  wcfg.partitions = static_cast<part_id_t>(GetParam() * 2);
-  wcfg.multi_partition_ratio = 0.3;  // distributed transactions
-  wcfg.mp_parts = 2;
-  wcfg.zipf_theta = 0.6;
-  auto w = wl::ycsb(wcfg);
-
-  auto db_engine = testutil::make_loaded_db(w);
-  auto db_serial = db_engine->clone();
-
-  common::rng r(11);
-  std::vector<txn::batch> batches;
-  for (int i = 0; i < 2; ++i) batches.push_back(w.make_batch(r, 256, i));
-
-  dist::dist_quecc_engine eng(*db_engine, dist_cfg(GetParam()));
-  common::run_metrics m;
-  for (auto& b : batches) eng.run_batch(b, m);
-  EXPECT_EQ(m.committed, 512u);
-
-  for (auto& b : batches) testutil::replay_in_seq_order(*db_serial, b);
-  EXPECT_EQ(db_engine->state_hash(), db_serial->state_hash());
-
-  if (GetParam() > 1) {
-    EXPECT_GT(m.messages, 0u);
-  } else {
-    EXPECT_EQ(m.messages, 0u);
-  }
-}
-
-TEST_P(DistNodes, DistCalvinMatchesSerial) {
-  wl::ycsb_config wcfg;
-  wcfg.table_size = 4096;
-  wcfg.partitions = static_cast<part_id_t>(GetParam() * 2);
-  wcfg.multi_partition_ratio = 0.3;
-  wcfg.mp_parts = 2;
-  wcfg.zipf_theta = 0.6;
-  auto w = wl::ycsb(wcfg);
-
-  auto db_engine = testutil::make_loaded_db(w);
-  auto db_serial = db_engine->clone();
-
-  common::rng r(13);
-  std::vector<txn::batch> batches;
-  for (int i = 0; i < 2; ++i) batches.push_back(w.make_batch(r, 256, i));
-
-  dist::dist_calvin_engine eng(*db_engine, dist_cfg(GetParam()),
-                               "dist-calvin");
-  common::run_metrics m;
-  for (auto& b : batches) eng.run_batch(b, m);
-  EXPECT_EQ(m.committed, 512u);
-
-  for (auto& b : batches) testutil::replay_in_seq_order(*db_serial, b);
-  EXPECT_EQ(db_engine->state_hash(), db_serial->state_hash());
-}
-
-TEST_P(DistNodes, EnginesAgreeOnTpcc) {
-  wl::tpcc_config wcfg;
-  wcfg.warehouses = static_cast<std::uint32_t>(GetParam() * 2);
-  wcfg.partitions = static_cast<part_id_t>(GetParam() * 2);
-  wcfg.initial_orders_per_district = 20;
-  wcfg.order_headroom_per_district = 200;
-  wcfg.remote_payment_ratio = 0.3;  // plenty of distributed payments
-  wcfg.remote_stock_ratio = 0.1;
-  auto w = wl::tpcc(wcfg);
-
-  auto db_q = testutil::make_loaded_db(w);
-  auto db_c = db_q->clone();
-  auto db_s = db_q->clone();
-
-  common::rng r(17);
-  auto b = w.make_batch(r, 300);
-
-  {
-    dist::dist_quecc_engine eng(*db_q, dist_cfg(GetParam()));
-    common::run_metrics m;
-    eng.run_batch(b, m);
-  }
-  b.reset_runtime();
-  {
-    dist::dist_calvin_engine eng(*db_c, dist_cfg(GetParam()),
-                                 "dist-calvin");
-    common::run_metrics m;
-    eng.run_batch(b, m);
-  }
-  testutil::replay_in_seq_order(*db_s, b);
-
-  EXPECT_EQ(db_q->state_hash(), db_s->state_hash());
-  EXPECT_EQ(db_c->state_hash(), db_s->state_hash());
-
-  std::string why;
-  EXPECT_TRUE(w.check_consistency(*db_q, &why)) << why;
 }
 
 TEST(Placement, EnginesHandleNonDivisiblePartitions) {

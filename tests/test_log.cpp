@@ -795,67 +795,6 @@ TEST(PipelinedLog, CommitRecordsRetainBatchOrderAcrossOverlappingSlots) {
   }
 }
 
-TEST(PipelinedLog, ThreeStageDurableRunRecoversToLockstepHash) {
-  // Depth-3 with the async epilogue: group-commit fsyncs of batch i run
-  // concurrently with batch i+1's execution, and checkpoints still land at
-  // the quiescent point. Recovery must reproduce the lockstep hash.
-  temp_dir dir;
-  wl::ycsb w(small_ycsb());
-  storage::database db;
-  w.load(db);
-  common::config cfg = small_engine_cfg();
-  cfg.pipeline_depth = 3;
-  cfg.async_epilogue = true;
-  cfg.durable = true;
-  cfg.log_dir = dir.path;
-  cfg.checkpoint_interval_batches = 3;
-  cfg.log_verify_hash = true;
-  cfg.group_commit_micros = 500;  // wide window: fsync waits really overlap
-  {
-    core::quecc_engine eng(db, cfg);
-    harness::run_options opts;
-    opts.batches = 8;
-    opts.batch_size = kBatchSize;
-    opts.seed = kSeed;
-    opts.durability = true;
-    const auto res = harness::run_workload(eng, w, db, opts);
-    EXPECT_EQ(res.final_state_hash, reference_hash(8, kBatchSize, kSeed));
-  }
-  const auto rec = recover_fresh(dir.path);
-  EXPECT_TRUE(rec.res.checkpoint_loaded);
-  EXPECT_EQ(rec.res.txns_applied, 8u * kBatchSize);
-  EXPECT_EQ(rec.hash, reference_hash(8, kBatchSize, kSeed));
-}
-
-TEST(PipelinedLog, PipelinedDurableRunRecoversToLockstepHash) {
-  // Depth-2 durable run (checkpoints mid-pipeline included) must recover
-  // to exactly the hash of an uninterrupted lockstep run.
-  temp_dir dir;
-  wl::ycsb w(small_ycsb());
-  storage::database db;
-  w.load(db);
-  common::config cfg = small_engine_cfg();
-  cfg.pipeline_depth = 2;
-  cfg.durable = true;
-  cfg.log_dir = dir.path;
-  cfg.checkpoint_interval_batches = 3;
-  cfg.log_verify_hash = true;
-  {
-    core::quecc_engine eng(db, cfg);
-    harness::run_options opts;
-    opts.batches = 8;
-    opts.batch_size = kBatchSize;
-    opts.seed = kSeed;
-    opts.durability = true;
-    const auto res = harness::run_workload(eng, w, db, opts);
-    EXPECT_EQ(res.final_state_hash, reference_hash(8, kBatchSize, kSeed));
-  }
-  const auto rec = recover_fresh(dir.path);
-  EXPECT_TRUE(rec.res.checkpoint_loaded);
-  EXPECT_EQ(rec.res.txns_applied, 8u * kBatchSize);
-  EXPECT_EQ(rec.hash, reference_hash(8, kBatchSize, kSeed));
-}
-
 // --- resumed durable logging (log_writer resume mode) -----------------------
 
 TEST(LogWriter, ResumeTruncatesTornTailAndContinuesInFreshSegment) {

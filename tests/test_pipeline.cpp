@@ -1,12 +1,13 @@
-// Batch-pipelining tests: pipeline_depth must be invisible in results.
+// Batch-pipelining tests: the submit/drain API mechanics, the stage
+// driver's two-thread contract, the async epilogue worker, and the per-slot
+// phase stats that make the overlap observable.
 //
 // The engine's two Figure 1 stages overlap across batches at depth >= 2
 // (planners on batch i+1 while batch i executes), but execution and the
-// commit epilogue stay sequential by batch id — so a depth-N run must
-// produce bit-identical state to the depth-1 lockstep on every workload,
-// execution model, isolation level, and arrival mode. These tests pin that
-// contract, plus the submit/drain API mechanics and the per-slot phase
-// stats that make the overlap observable.
+// commit epilogue stay sequential by batch id, so every depth yields the
+// depth-1 lockstep's state and results. test_oracle checks that across
+// depths, the third stage, workloads, execution models, isolation levels
+// and arrival modes.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -20,8 +21,6 @@
 #include "protocols/iface.hpp"
 #include "protocols/session.hpp"
 #include "test_util.hpp"
-#include "workload/bank.hpp"
-#include "workload/tpcc.hpp"
 #include "workload/ycsb.hpp"
 
 namespace quecc {
@@ -31,260 +30,16 @@ using common::config;
 using common::exec_model;
 using common::isolation;
 
-config base_cfg(std::uint32_t depth, exec_model exec,
-                isolation iso = isolation::serializable) {
+config base_cfg(std::uint32_t depth, exec_model exec) {
   config cfg;
   cfg.planner_threads = 2;
   cfg.executor_threads = 2;
   cfg.pipeline_depth = depth;
   cfg.execution = exec;
-  cfg.iso = iso;
   return cfg;
 }
 
-std::unique_ptr<wl::workload> make_named(const std::string& name) {
-  if (name == "ycsb") {
-    wl::ycsb_config w;
-    w.table_size = 4096;
-    w.zipf_theta = 0.8;
-    w.read_ratio = 0.5;
-    w.abort_ratio = 0.05;
-    return std::make_unique<wl::ycsb>(w);
-  }
-  if (name == "bank") {
-    wl::bank_config w;
-    w.accounts = 512;
-    w.max_transfer = 1500;  // often exceeds balance => aborts
-    return std::make_unique<wl::bank>(w);
-  }
-  wl::tpcc_config w;
-  w.warehouses = 2;
-  w.initial_orders_per_district = 40;
-  w.order_headroom_per_district = 2000;
-  return std::make_unique<wl::tpcc>(w);
-}
-
-/// Closed-loop hash of `batches` batches at the given depth/exec/iso.
-std::uint64_t closed_loop_hash(const std::string& wname, std::uint32_t depth,
-                               exec_model exec,
-                               isolation iso = isolation::serializable,
-                               std::uint32_t batches = 6) {
-  auto w = make_named(wname);
-  storage::database db;
-  w->load(db);
-  core::quecc_engine eng(db, base_cfg(depth, exec, iso));
-  harness::run_options opts;
-  opts.batches = batches;
-  opts.batch_size = 256;
-  opts.seed = 2027;
-  const auto res = harness::run_workload(eng, *w, db, opts);
-  EXPECT_EQ(res.metrics.committed + res.metrics.aborted, opts.total_txns());
-  EXPECT_EQ(res.metrics.batches, batches);
-  return res.final_state_hash;
-}
-
-// --- depth-1 ≡ depth-2 on every workload / exec-model combination ---------
-
-struct det_params {
-  const char* workload;
-  exec_model exec;
-};
-
-std::string det_name(const testing::TestParamInfo<det_params>& info) {
-  return std::string(info.param.workload) + "_" +
-         (info.param.exec == exec_model::speculative ? "spec" : "cons");
-}
-
-class PipelineDeterminism : public testing::TestWithParam<det_params> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, PipelineDeterminism,
-    testing::Values(det_params{"ycsb", exec_model::speculative},
-                    det_params{"ycsb", exec_model::conservative},
-                    det_params{"bank", exec_model::speculative},
-                    det_params{"bank", exec_model::conservative},
-                    det_params{"tpcc", exec_model::speculative},
-                    det_params{"tpcc", exec_model::conservative}),
-    det_name);
-
-TEST_P(PipelineDeterminism, ClosedLoopDepth2MatchesLockstep) {
-  const auto [wname, exec] = GetParam();
-  const auto h1 = closed_loop_hash(wname, 1, exec);
-  const auto h2 = closed_loop_hash(wname, 2, exec);
-  EXPECT_EQ(h1, h2);
-}
-
-TEST_P(PipelineDeterminism, OpenLoopDepth2MatchesLockstepClosedLoop) {
-  const auto [wname, exec] = GetParam();
-  const auto closed = closed_loop_hash(wname, 1, exec, isolation::serializable,
-                                       /*batches=*/4);
-
-  auto w = make_named(wname);
-  storage::database db;
-  w->load(db);
-  core::quecc_engine eng(db, base_cfg(2, exec));
-  harness::run_options opts;
-  opts.batches = 4;
-  opts.batch_size = 256;
-  opts.seed = 2027;
-  opts.mode = harness::arrival_mode::open_loop;
-  opts.offered_load_tps = 2e6;  // keep the admission queue backed up
-  opts.batch_deadline_micros = 200;
-  const auto res = harness::run_workload(eng, *w, db, opts);
-  EXPECT_EQ(res.metrics.committed + res.metrics.aborted, opts.total_txns());
-  EXPECT_EQ(res.final_state_hash, closed);
-}
-
-TEST(PipelineDeterminism, DeeperRingsAndWiderGeometriesAgree) {
-  const auto h1 = closed_loop_hash("ycsb", 1, exec_model::speculative);
-  EXPECT_EQ(h1, closed_loop_hash("ycsb", 3, exec_model::speculative));
-  EXPECT_EQ(h1, closed_loop_hash("ycsb", 4, exec_model::speculative));
-}
-
-TEST(PipelineDeterminism, ReadCommittedPublishesAtSlotBoundary) {
-  // RC publishes the committed image in the (per-slot) epilogue; depth
-  // must not change which batch's writes a read queue observes.
-  const auto h1 = closed_loop_hash("ycsb", 1, exec_model::speculative,
-                                   isolation::read_committed);
-  const auto h2 = closed_loop_hash("ycsb", 2, exec_model::speculative,
-                                   isolation::read_committed);
-  EXPECT_EQ(h1, h2);
-}
-
-TEST(PipelineDeterminism, ReadCommittedReadsMatchLockstepUnderIndexChurn) {
-  // TPC-C under read-committed: NewOrder inserts and Delivery erases
-  // mutate the primary indexes mid-batch while pure reads sit in the
-  // dynamically-claimed read queues. Their rids must resolve at the
-  // quiescent point (batch_slot::resolve_read_queues), or depth >= 2
-  // would make the read *values* timing-dependent — which state hashes
-  // alone cannot catch, so compare per-transaction result fingerprints.
-  // TPC-C's generator is stateful (district order counters), so each
-  // engine gets its own workload + database producing the identical,
-  // independent stream.
-  struct outcome {
-    std::vector<std::vector<std::uint64_t>> fingerprints;
-    std::uint64_t hash;
-  };
-  auto run_at_depth = [](std::uint32_t depth) {
-    wl::tpcc_config wcfg;
-    wcfg.warehouses = 2;
-    wcfg.initial_orders_per_district = 40;
-    wcfg.order_headroom_per_district = 2000;
-    wl::tpcc w(wcfg);
-    auto db = testutil::make_loaded_db(w);
-    common::rng r(77);
-    core::quecc_engine eng(*db, base_cfg(depth, exec_model::speculative,
-                                         isolation::read_committed));
-    common::run_metrics m;
-    outcome out;
-    std::deque<txn::batch> inflight;
-    for (int i = 0; i < 4; ++i) {
-      inflight.push_back(w.make_batch(r, 256, i));
-      eng.submit_batch(inflight.back(), m);
-    }
-    while (eng.drain_batch()) {
-    }
-    for (auto& b : inflight) {
-      auto fp = testutil::result_fingerprints(b);
-      out.fingerprints.insert(out.fingerprints.end(), fp.begin(), fp.end());
-    }
-    out.hash = db->state_hash();
-    return out;
-  };
-  const outcome lockstep = run_at_depth(1);
-  const outcome pipelined = run_at_depth(2);
-  EXPECT_EQ(lockstep.hash, pipelined.hash);
-  EXPECT_EQ(lockstep.fingerprints, pipelined.fingerprints);
-}
-
 // --- third stage (async commit epilogue) -----------------------------------
-
-/// Hash of a fixed YCSB stream through any registered engine at the given
-/// depth, with the third pipeline stage (async epilogue) on or off. RC
-/// isolation: the epilogue publishes the committed image, so a misplaced
-/// publication point shows up directly in read values (and thus writes
-/// derived from them — the state hash).
-std::uint64_t stage3_hash(const std::string& engine, std::uint32_t depth,
-                          exec_model exec, bool stage3,
-                          isolation iso = isolation::read_committed) {
-  wl::ycsb_config wcfg;
-  wcfg.table_size = 4096;
-  wcfg.partitions = 4;
-  wcfg.zipf_theta = 0.8;
-  wcfg.read_ratio = 0.5;
-  wcfg.abort_ratio = 0.05;
-  wcfg.multi_partition_ratio = engine == "dist-quecc" ? 0.3 : 0.0;
-  wl::ycsb w(wcfg);
-  storage::database db;
-  w.load(db);
-  config cfg = base_cfg(depth, exec, iso);
-  cfg.partitions = 4;
-  cfg.async_epilogue = stage3;
-  if (engine == "dist-quecc") {
-    cfg.nodes = 2;
-    cfg.net_latency_micros = 10;
-  }
-  auto eng = proto::make_engine(engine, db, cfg);
-  harness::run_options opts;
-  opts.batches = 5;
-  opts.batch_size = 256;
-  opts.seed = 2027;
-  const auto res = harness::run_workload(*eng, w, db, opts);
-  EXPECT_EQ(res.metrics.committed + res.metrics.aborted, opts.total_txns());
-  return res.final_state_hash;
-}
-
-struct stage3_params {
-  const char* engine;
-  exec_model exec;
-};
-
-/// Engine name as a gtest parameter label ('-' is not allowed there).
-std::string engine_label(std::string e) {
-  for (auto& c : e) {
-    if (c == '-') c = '_';
-  }
-  return e;
-}
-
-std::string stage3_name(const testing::TestParamInfo<stage3_params>& info) {
-  return engine_label(info.param.engine) + "_" +
-         (info.param.exec == exec_model::speculative ? "spec" : "cons");
-}
-
-class ThreeStageDeterminism : public testing::TestWithParam<stage3_params> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, ThreeStageDeterminism,
-    testing::Values(stage3_params{"quecc", exec_model::speculative},
-                    stage3_params{"quecc", exec_model::conservative},
-                    stage3_params{"dist-quecc", exec_model::speculative},
-                    stage3_params{"dist-quecc", exec_model::conservative}),
-    stage3_name);
-
-TEST_P(ThreeStageDeterminism, RcHashesIdenticalAcrossDepthsAndStage3) {
-  // The whole depth x stage3 grid must collapse to one hash: the inline
-  // depth-1 lockstep (the paper's semantics) is the baseline.
-  const auto [engine, exec] = GetParam();
-  const auto baseline = stage3_hash(engine, 1, exec, /*stage3=*/false);
-  for (std::uint32_t depth : {1u, 2u, 3u}) {
-    for (bool s3 : {false, true}) {
-      EXPECT_EQ(stage3_hash(engine, depth, exec, s3), baseline)
-          << engine << " depth=" << depth << " stage3=" << s3;
-    }
-  }
-}
-
-TEST(ThreeStageDeterminism, SerializableAgreesWithInlineLockstep) {
-  const auto base = stage3_hash("quecc", 1, exec_model::speculative,
-                                /*stage3=*/false, isolation::serializable);
-  EXPECT_EQ(stage3_hash("quecc", 3, exec_model::speculative, true,
-                        isolation::serializable),
-            base);
-  EXPECT_EQ(stage3_hash("quecc", 3, exec_model::speculative, false,
-                        isolation::serializable),
-            base);
-}
 
 TEST(ThreeStageApi, EpilogueWorkerDtorDrainsLeftoverBatches) {
   // Depth-3, async epilogue on, no explicit drain: the destructor must
@@ -337,34 +92,6 @@ TEST(ThreeStageStats, EpilogueBusyIsAccountedAndSurfaced) {
   EXPECT_GT(res.metrics.epilogue_busy_seconds, 0.0);
   EXPECT_NE(res.metrics.summary("quecc").find("epilogue_busy="),
             std::string::npos);
-}
-
-TEST(PipelineDeterminism, DistQueccDepth2MatchesLockstep) {
-  auto hash_at = [](std::uint32_t depth) {
-    wl::ycsb_config wcfg;
-    wcfg.table_size = 4096;
-    wcfg.partitions = 4;
-    wcfg.multi_partition_ratio = 0.3;
-    wl::ycsb w(wcfg);
-    storage::database db;
-    w.load(db);
-    config cfg;
-    cfg.planner_threads = 1;
-    cfg.executor_threads = 2;
-    cfg.nodes = 2;
-    cfg.partitions = 4;
-    cfg.net_latency_micros = 10;
-    cfg.pipeline_depth = depth;
-    auto eng = proto::make_engine("dist-quecc", db, cfg);
-    harness::run_options opts;
-    opts.batches = 4;
-    opts.batch_size = 256;
-    opts.seed = 11;
-    const auto res = harness::run_workload(*eng, w, db, opts);
-    EXPECT_EQ(res.metrics.committed + res.metrics.aborted, opts.total_txns());
-    return res.final_state_hash;
-  };
-  EXPECT_EQ(hash_at(1), hash_at(2));
 }
 
 // --- submit/drain API mechanics -------------------------------------------
@@ -608,6 +335,14 @@ const core::phase_stats& last_phases(const proto::engine& eng) {
     return q->last_phases();
   }
   return dynamic_cast<const dist::dist_quecc_engine&>(eng).last_phases();
+}
+
+/// Engine name as a gtest parameter label ('-' is not allowed there).
+std::string engine_label(std::string e) {
+  for (auto& c : e) {
+    if (c == '-') c = '_';
+  }
+  return e;
 }
 
 class PipelineStats : public testing::TestWithParam<const char*> {};

@@ -3,12 +3,11 @@
 //     visit order, range bounds, early stop);
 //   * lock-free readers racing a writer (run under TSAN in CI);
 //   * the table iteration-order contract checkpoints rely on;
-//   * scan-fragment equivalence: quecc / dist-quecc vs serial replay at
-//     pipeline depths 1-3, speculative and conservative;
 //   * checkpoint round-trips of ordered arenas, and backend-mismatch
 //     rejection;
 //   * plan-codec round-trips of scan fragments (key_hi, kAllParts);
 //   * hash vs ordered backend: identical state hashes on scan-free runs.
+// Scan results across engines and configurations are test_oracle's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,20 +19,17 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "dist/dist_quecc.hpp"
 #include "log/checkpoint.hpp"
 #include "log/plan_codec.hpp"
 #include "log/recovery.hpp"
 #include "storage/ordered_index.hpp"
 #include "test_util.hpp"
-#include "workload/tpcc.hpp"
 #include "workload/ycsb.hpp"
 
 namespace quecc {
 namespace {
 
 using common::config;
-using common::exec_model;
 
 // --- ordered_index unit semantics ------------------------------------------
 
@@ -197,134 +193,6 @@ TEST(Table, ForEachLiveInOrderContract) {
   std::vector<key_t> expect = history;
   std::sort(expect.begin(), expect.end());
   EXPECT_EQ(sequence(*build(o1, ordered_s)), expect);
-}
-
-// --- scan-fragment equivalence across the engines ---------------------------
-
-wl::tpcc_config full_mix_cfg() {
-  wl::tpcc_config w;
-  w.warehouses = 2;
-  w.partitions = 4;
-  w.initial_orders_per_district = 40;
-  w.order_headroom_per_district = 400;
-  w.scan_profiles = true;       // scan-based OrderStatus + StockLevel
-  w.invalid_item_ratio = 0.05;  // aborts stress the range-taint recovery
-  // Lift the read profiles so scans dominate the mix under test.
-  w.order_status_ratio = 0.2;
-  w.stock_level_ratio = 0.2;
-  return w;
-}
-
-struct depth_exec {
-  std::uint32_t depth;
-  exec_model exec;
-};
-
-class ScanGrid : public testing::TestWithParam<depth_exec> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    DepthsAndModes, ScanGrid,
-    testing::Values(depth_exec{1, exec_model::speculative},
-                    depth_exec{2, exec_model::speculative},
-                    depth_exec{3, exec_model::speculative},
-                    depth_exec{1, exec_model::conservative},
-                    depth_exec{2, exec_model::conservative},
-                    depth_exec{3, exec_model::conservative}),
-    [](const auto& info) {
-      return "D" + std::to_string(info.param.depth) + "_" +
-             (info.param.exec == exec_model::speculative ? "spec" : "cons");
-    });
-
-TEST_P(ScanGrid, TpccFullMixMatchesSerial) {
-  auto w = wl::tpcc(full_mix_cfg());
-  auto db_engine = testutil::make_loaded_db(w);
-  auto db_serial = db_engine->clone();
-
-  common::rng r(31);
-  std::vector<txn::batch> batches;
-  for (int i = 0; i < 3; ++i) batches.push_back(w.make_batch(r, 256, i));
-
-  config cfg;
-  cfg.planner_threads = 2;
-  cfg.executor_threads = 2;
-  cfg.pipeline_depth = GetParam().depth;
-  cfg.execution = GetParam().exec;
-  {
-    core::quecc_engine eng(*db_engine, cfg);
-    common::run_metrics m;
-    for (auto& b : batches) eng.run_batch(b, m);
-  }
-  const auto engine_results = testutil::result_fingerprints(batches.back());
-
-  for (auto& b : batches) testutil::replay_in_seq_order(*db_serial, b);
-  EXPECT_EQ(db_engine->state_hash(), db_serial->state_hash());
-  // Scan outputs (OL_AMOUNT sums, line counts) are read results, not
-  // state: compare the fingerprints too.
-  EXPECT_EQ(engine_results, testutil::result_fingerprints(batches.back()));
-  std::string why;
-  EXPECT_TRUE(w.check_consistency(*db_engine, &why)) << why;
-}
-
-TEST_P(ScanGrid, YcsbAllPartsScanMatchesSerial) {
-  wl::ycsb_config wcfg;
-  wcfg.table_size = 4096;
-  wcfg.partitions = 4;
-  wcfg.zipf_theta = 0.6;
-  wcfg.read_ratio = 0.4;
-  wcfg.scan_ratio = 0.3;  // kAllParts fan-out scans
-  wcfg.scan_len = 96;
-  wcfg.abort_ratio = 0.05;  // scans must survive speculation recovery
-  auto w = wl::ycsb(wcfg);
-  auto db_engine = testutil::make_loaded_db(w);
-  auto db_serial = db_engine->clone();
-
-  common::rng r(17);
-  std::vector<txn::batch> batches;
-  for (int i = 0; i < 3; ++i) batches.push_back(w.make_batch(r, 256, i));
-
-  config cfg;
-  cfg.planner_threads = 2;
-  cfg.executor_threads = 4;
-  cfg.pipeline_depth = GetParam().depth;
-  cfg.execution = GetParam().exec;
-  {
-    core::quecc_engine eng(*db_engine, cfg);
-    common::run_metrics m;
-    for (auto& b : batches) eng.run_batch(b, m);
-  }
-  // The split-produced scan sums must equal the serial host's single-call
-  // sums — this is the produce_partial accumulation contract.
-  const auto engine_results = testutil::result_fingerprints(batches.back());
-
-  for (auto& b : batches) testutil::replay_in_seq_order(*db_serial, b);
-  EXPECT_EQ(db_engine->state_hash(), db_serial->state_hash());
-  EXPECT_EQ(engine_results, testutil::result_fingerprints(batches.back()));
-}
-
-TEST_P(ScanGrid, DistQueccFullMixMatchesSerial) {
-  auto w = wl::tpcc(full_mix_cfg());
-  auto db_engine = testutil::make_loaded_db(w);
-  auto db_serial = db_engine->clone();
-
-  common::rng r(59);
-  std::vector<txn::batch> batches;
-  for (int i = 0; i < 2; ++i) batches.push_back(w.make_batch(r, 256, i));
-
-  config cfg;
-  cfg.nodes = 2;
-  cfg.planner_threads = 1;   // per node
-  cfg.executor_threads = 1;  // per node
-  cfg.partitions = 4;
-  cfg.net_latency_micros = 20;
-  cfg.pipeline_depth = GetParam().depth;
-  cfg.execution = GetParam().exec;
-  {
-    dist::dist_quecc_engine eng(*db_engine, cfg);
-    common::run_metrics m;
-    for (auto& b : batches) eng.run_batch(b, m);
-  }
-  for (auto& b : batches) testutil::replay_in_seq_order(*db_serial, b);
-  EXPECT_EQ(db_engine->state_hash(), db_serial->state_hash());
 }
 
 // --- hash vs ordered: identical results when nothing scans ------------------

@@ -13,15 +13,14 @@
 //     and 2), and an inplace_host over a kept undo log (the recovery
 //     pass's) frees each slot exactly once, whether or not the log is
 //     unwound afterwards;
-//   * executors log for recovery only in batches with a run-time
-//     abortable, and every workload still equals serial with and without
-//     those logs (depths 1-3, spec/cons, ser/rc, dist-quecc on two nodes).
+//   * the planner decides TPC-C's ITEM checks exactly as serial does.
+// Plan-time against run-time aborts, and which batches executors log for
+// recovery, are checked across engine configurations by test_oracle.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <functional>
 #include <string>
-#include <tuple>
 
 #include "core/engine.hpp"
 #include "core/planner.hpp"
@@ -639,297 +638,6 @@ TEST(PlanTimeChecks, PlannerDecidesItemChecksExactlyAsSerialDoes) {
   }
   EXPECT_GT(doomed, 0u);
   EXPECT_LT(doomed, b.size());
-}
-
-struct plan_time_case {
-  const char* name;
-  exec_model exec;
-  isolation iso;
-  std::uint32_t depth;
-  std::uint32_t nodes;
-};
-
-struct engine_run {
-  std::uint64_t hash = 0;
-  std::vector<std::vector<std::uint64_t>> fingerprints;
-  std::uint32_t last_logic_aborts = 0;
-  std::uint64_t last_planned = 0;
-};
-
-/// Runs `batches` through the case's engine on `db`. Every batch is
-/// submitted before any is drained, so at depth 2 batch n+1 is planned —
-/// its ITEM checks read — while batch n executes.
-engine_run run_case(const plan_time_case& c, storage::database& db,
-                    std::vector<txn::batch>& batches) {
-  config cfg;
-  cfg.execution = c.exec;
-  cfg.iso = c.iso;
-  cfg.pipeline_depth = c.depth;
-  cfg.nodes = c.nodes;
-  if (c.nodes > 1) {
-    cfg.planner_threads = 1;
-    cfg.net_latency_micros = 20;
-  }
-  for (auto& b : batches) b.reset_runtime();
-  engine_run out;
-  const auto drive = [&](auto& eng) {
-    common::run_metrics m;
-    for (auto& b : batches) eng.submit_batch(b, m);
-    while (eng.drain_batch()) {
-    }
-    out.last_logic_aborts = eng.last_recovery().logic_aborts;
-    out.last_planned = eng.last_phases().planned_fragments;
-  };
-  if (c.nodes > 1) {
-    dist::dist_quecc_engine eng(db, cfg);
-    drive(eng);
-  } else {
-    core::quecc_engine eng(db, cfg);
-    drive(eng);
-  }
-  out.hash = db.state_hash();
-  for (const auto& b : batches) {
-    const auto fp = testutil::result_fingerprints(b);
-    out.fingerprints.insert(out.fingerprints.end(), fp.begin(), fp.end());
-  }
-  return out;
-}
-
-/// Queue entries the planner makes for `b` once ITEM checks are decided at
-/// plan time: none for a doomed transaction or a decided check, one per
-/// partition for a kAllParts scan, one for every other fragment.
-std::uint64_t queued_entries(const txn::batch& b, table_id_t item,
-                             part_id_t parts) {
-  std::uint64_t n = 0;
-  for (const auto& tp : b) {
-    if (tp->aborted()) continue;
-    for (const auto& f : tp->frags) {
-      if (f.table == item) continue;
-      n += f.part == txn::kAllParts ? parts : 1;
-    }
-  }
-  return n;
-}
-
-class PlanTimeAborts : public testing::TestWithParam<plan_time_case> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    TpccFullMix, PlanTimeAborts,
-    testing::Values(
-        plan_time_case{"spec_d1", exec_model::speculative,
-                       isolation::serializable, 1, 1},
-        plan_time_case{"spec_d2", exec_model::speculative,
-                       isolation::serializable, 2, 1},
-        plan_time_case{"cons_d1", exec_model::conservative,
-                       isolation::serializable, 1, 1},
-        plan_time_case{"cons_d2", exec_model::conservative,
-                       isolation::serializable, 2, 1},
-        plan_time_case{"rc_spec_d2", exec_model::speculative,
-                       isolation::read_committed, 2, 1},
-        plan_time_case{"rc_cons_d1", exec_model::conservative,
-                       isolation::read_committed, 1, 1},
-        plan_time_case{"dist_spec_two_nodes", exec_model::speculative,
-                       isolation::serializable, 2, 2},
-        plan_time_case{"dist_cons_two_nodes", exec_model::conservative,
-                       isolation::serializable, 2, 2}),
-    [](const auto& info) { return std::string(info.param.name); });
-
-TEST_P(PlanTimeAborts, MatchSerialWithoutRecoveryOrCommitWaits) {
-  // The counter checks below compare deltas, so they hold vacuously when
-  // observability is compiled out; the rest needs no metrics.
-  const plan_time_case& c = GetParam();
-  wl::tpcc w(full_mix_cfg());
-  auto db = testutil::make_loaded_db(w);
-  auto db_run_time = db->clone();
-  auto db_serial = db->clone();
-  decide_item_checks_at_run_time(*db_run_time);
-  common::rng r(23);
-  std::vector<txn::batch> batches;
-  for (int i = 0; i < 3; ++i) batches.push_back(w.make_batch(r, 512, i));
-
-  const auto recoveries0 = counter("spec.recoveries_total");
-  const auto cascades0 = counter("spec.cascade_aborts_total");
-  const auto commit_wait0 = counter("engine.exec_commit_wait_nanos");
-  const engine_run got = run_case(c, *db, batches);
-  // No abort reached the executors: nothing to recover, and no abortable
-  // fragment left for a conservative update to wait on.
-  EXPECT_EQ(got.last_logic_aborts, 0u);
-  EXPECT_EQ(counter("spec.recoveries_total"), recoveries0);
-  EXPECT_EQ(counter("spec.cascade_aborts_total"), cascades0);
-  EXPECT_EQ(counter("engine.exec_commit_wait_nanos"), commit_wait0);
-  // Doomed NewOrders were aborted by the planner and queued nothing.
-  std::size_t doomed = 0;
-  for (const auto& tp : batches.back()) {
-    if (!tp->aborted()) continue;
-    EXPECT_TRUE(tp->aborted_at_plan()) << "seq " << tp->seq;
-    ++doomed;
-  }
-  EXPECT_GT(doomed, 0u);
-  EXPECT_EQ(got.last_planned,
-            queued_entries(batches.back(), db->by_name("item").id(),
-                           config{}.partitions));
-
-  // Control: the same batches with the checks decided in the executors.
-  const engine_run run_time = run_case(c, *db_run_time, batches);
-  EXPECT_EQ(got.hash, run_time.hash);
-  const bool spec = c.exec == exec_model::speculative;
-  if (spec) {
-    EXPECT_GT(run_time.last_logic_aborts, 0u);
-  }
-  // Read-committed read-queue results are not serial-equivalent. On the
-  // speculative run-time path they also differ: recovery re-executes
-  // tainted transactions against the working rows, read-queue reads
-  // included. Only the state is comparable there.
-  const bool rc = c.iso == isolation::read_committed;
-  if (!(rc && spec)) {
-    EXPECT_EQ(got.fingerprints, run_time.fingerprints);
-  }
-
-  for (auto& b : batches) testutil::replay_in_seq_order(*db_serial, b);
-  EXPECT_EQ(got.hash, db_serial->state_hash());
-  if (rc) return;
-  std::vector<std::vector<std::uint64_t>> serial_fps;
-  for (const auto& b : batches) {
-    const auto fp = testutil::result_fingerprints(b);
-    serial_fps.insert(serial_fps.end(), fp.begin(), fp.end());
-  }
-  EXPECT_EQ(got.fingerprints, serial_fps);
-}
-
-// --- logging only what recovery or the RC publish reads ---------------------
-
-/// Batches with their database, and the workloads that own the batches'
-/// procedures.
-struct log_fixture {
-  std::vector<std::unique_ptr<wl::workload>> owners;
-  std::unique_ptr<storage::database> db;
-  std::vector<txn::batch> batches;
-  /// Batches with a run-time abortable: a speculative run logs for these.
-  std::uint64_t abortable_batches = 0;
-};
-
-struct log_workload {
-  const char* name;
-  std::function<log_fixture()> make;
-};
-
-wl::ycsb_config log_ycsb_cfg(double abort_ratio) {
-  wl::ycsb_config wc;
-  wc.table_size = 4096;
-  wc.zipf_theta = 0.8;
-  wc.abort_ratio = abort_ratio;
-  return wc;
-}
-
-/// Three batches of 512 from a `W` built from `cfg`, with its database.
-template <typename W, typename Cfg>
-log_fixture three_batches(Cfg cfg, std::uint64_t seed,
-                          std::uint64_t abortable_batches) {
-  log_fixture fx;
-  auto w = std::make_unique<W>(cfg);
-  fx.db = testutil::make_loaded_db(*w);
-  common::rng r(seed);
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    fx.batches.push_back(w->make_batch(r, 512, i));
-  }
-  fx.owners.push_back(std::move(w));
-  fx.abortable_batches = abortable_batches;
-  return fx;
-}
-
-const log_workload kLogWorkloads[] = {
-    {"ycsb_no_aborts",
-     [] { return three_batches<wl::ycsb>(log_ycsb_cfg(0), 61, 0); }},
-    // Every transaction carries an abortable check, so every batch logs.
-    {"ycsb_aborts",
-     [] { return three_batches<wl::ycsb>(log_ycsb_cfg(0.05), 62, 3); }},
-    // Doomed NewOrders abort at plan time: nothing is left to log.
-    {"tpcc_full",
-     [] {
-       wl::tpcc_config wc = full_mix_cfg();
-       wc.warehouses = 1;  // loading dominates; one warehouse keeps it cheap
-       return three_batches<wl::tpcc>(wc, 63, 0);
-     }},
-    {"bank",
-     [] { return three_batches<wl::bank>(wl::bank_config{}, 64, 3); }},
-    // The middle batch carries exactly one run-time abortable, which fires.
-    {"one_abortable",
-     [] {
-       log_fixture fx;
-       auto w = std::make_unique<wl::ycsb>(log_ycsb_cfg(0));
-       auto doomed = std::make_unique<wl::ycsb>(log_ycsb_cfg(1.0));
-       fx.db = testutil::make_loaded_db(*w);
-       common::rng r(65);
-       for (std::uint32_t i = 0; i < 3; ++i) {
-         txn::batch b(i);
-         for (std::size_t k = 0; k < 512; ++k) {
-           b.add(i == 1 && k == 300 ? doomed->make_txn(r) : w->make_txn(r));
-         }
-         b.validate();
-         fx.batches.push_back(std::move(b));
-       }
-       fx.owners.push_back(std::move(w));
-       fx.owners.push_back(std::move(doomed));
-       fx.abortable_batches = 1;
-       return fx;
-     }},
-};
-
-std::vector<plan_time_case> log_configs() {
-  std::vector<plan_time_case> out;
-  for (const std::uint32_t depth : {1u, 2u, 3u}) {
-    for (const exec_model m :
-         {exec_model::speculative, exec_model::conservative}) {
-      for (const isolation iso :
-           {isolation::serializable, isolation::read_committed}) {
-        out.push_back({"", m, iso, depth, 1});
-      }
-    }
-  }
-  out.push_back({"", exec_model::speculative, isolation::serializable, 2, 2});
-  out.push_back({"", exec_model::conservative, isolation::serializable, 2, 2});
-  return out;
-}
-
-class SpeculationLogs
-    : public testing::TestWithParam<std::tuple<log_workload, plan_time_case>> {
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, SpeculationLogs,
-    testing::Combine(testing::ValuesIn(kLogWorkloads),
-                     testing::ValuesIn(log_configs())),
-    [](const auto& info) {
-      const log_workload& w = std::get<0>(info.param);
-      const plan_time_case& c = std::get<1>(info.param);
-      return std::string(w.name) + "_" +
-             (c.exec == exec_model::speculative ? "spec" : "cons") + "_" +
-             (c.iso == isolation::serializable ? "ser" : "rc") + "_d" +
-             std::to_string(c.depth) + "_n" + std::to_string(c.nodes);
-    });
-
-TEST_P(SpeculationLogs, MatchSerialAndLogOnlyBatchesThatCanAbort) {
-  const auto& [w, c] = GetParam();
-  log_fixture fx = w.make();
-  auto serial = fx.db->clone();
-  [[maybe_unused]] const auto logged0 = counter("spec.logged_batches_total");
-  const engine_run got = run_case(c, *fx.db, fx.batches);
-#if !defined(QUECC_OBS_COMPILED_OUT)
-  const bool spec = c.exec == exec_model::speculative;
-  EXPECT_EQ(counter("spec.logged_batches_total") - logged0,
-            spec ? fx.abortable_batches : 0);
-#endif
-
-  for (auto& b : fx.batches) testutil::replay_in_seq_order(*serial, b);
-  EXPECT_EQ(got.hash, serial->state_hash());
-  // Read-committed read-queue results are not serial-equivalent.
-  if (c.iso == isolation::read_committed) return;
-  std::vector<std::vector<std::uint64_t>> serial_fps;
-  for (const auto& b : fx.batches) {
-    const auto fp = testutil::result_fingerprints(b);
-    serial_fps.insert(serial_fps.end(), fp.begin(), fp.end());
-  }
-  EXPECT_EQ(got.fingerprints, serial_fps);
 }
 
 }  // namespace
