@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
 # ---------------------------------------------------------------------------
-# Custom lints. Four rules:
+# Custom lints. Five rules:
 #
 # 1. No raw standard-library lock primitives outside common/mutex.hpp.
 #    std::mutex & friends carry no thread-safety attributes, so code using
@@ -38,6 +38,10 @@ BUILD_DIR="${1:-build}"
 #    for rows and index buckets need address arithmetic on row ids and
 #    keys; the storage API that owns valid row ids does it
 #    (storage/prefetch.hpp), so no other layer computes such addresses.
+#
+# 5. fsync and fdatasync are called only in src/log/io.cpp. Every other
+#    site calls log::checked_fsync, which stops the process when a sync
+#    fails, so a failed sync can never turn into a durable ack.
 # ---------------------------------------------------------------------------
 python3 - <<'PY'
 import pathlib
@@ -122,6 +126,21 @@ for top in ("src", "tests", "bench", "examples"):
                     f"{rel}:{i}: __builtin_prefetch outside src/storage/ — "
                     "use the storage prefetch API (storage/prefetch.hpp, "
                     "table::prefetch_key / prefetch_row)")
+
+# Rule 5: syncs go through log::checked_fsync. Every C++ source is checked.
+SYNC = re.compile(r"\b(fsync|fdatasync)\s*\(")
+for top in ("src", "tests", "bench", "examples"):
+    for path in sorted(pathlib.Path(top).rglob("*.[ch]pp")):
+        rel = path.as_posix()
+        if rel == "src/log/io.cpp":
+            continue
+        for i, line in enumerate(path.read_text().splitlines(), 1):
+            m = SYNC.search(code_part(line))
+            if m:
+                errors.append(
+                    f"{rel}:{i}: {m.group(1)} outside src/log/io.cpp — call "
+                    "log::checked_fsync, which stops the process when the "
+                    "sync fails")
 
 if errors:
     print("\n".join(errors))

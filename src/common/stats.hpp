@@ -125,8 +125,11 @@ struct run_metrics {
   /// batches' execution windows — the time the two Figure 1 stages ran
   /// concurrently. 0 in lockstep (pipeline_depth == 1).
   double pipeline_overlap_seconds = 0.0;
-  /// Pure execution latency: batch execution start -> txn commit. Recorded
-  /// by every engine; excludes any time spent waiting for admission.
+  /// Engine latency, recorded by every engine; excludes any time spent
+  /// waiting for admission. Queue engines: batch submission to the engine
+  /// -> the transaction's last fragment, from the executors' completion
+  /// stamps (accurate to 16 queue entries; none for a transaction that
+  /// queued no entry). The baselines time their own execution.
   latency_histogram txn_latency;
   /// Queueing delay: client submit -> batch execution start. Recorded only
   /// on the async submission path (proto::session / open-loop harness).

@@ -44,8 +44,9 @@ void executor::run_queue(const frag_queue& q) {
   const std::span<const frag_entry> es = q.entries();
   const std::size_t n = es.size();
   for (std::size_t i = 0; i < n; ++i) {
+    if (i % kClockEvery == 0) clock_ = common::now_nanos();
     if (i + kDescAhead < n) {
-      // The executor writes the transaction's counters and status.
+      // Fetched for writing: see the Lookahead paragraph in executor.hpp.
       const frag_entry& ahead = es[i + kDescAhead];
       storage::prefetch_object(*ahead.f);
       storage::prefetch_object(*ahead.t, /*for_write=*/true);
@@ -145,6 +146,7 @@ executor::wait_reason executor::try_run(const frag_entry& e) {
 
 bool executor::retry_parked() {
   since_retry_ = 0;
+  clock_ = common::now_nanos();
   bool progress = false;
   std::size_t kept = 0;
   for (std::uint32_t h : heads_) {
@@ -219,14 +221,6 @@ void executor::skip(const frag_entry& e) {
   }
   ++skipped_;
   finish(*e.t);
-}
-
-void executor::finish(txn::txn_desc& t) {
-  const auto left =
-      t.remaining_frags.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  if (left == 0) {
-    latency_.record_nanos(common::now_nanos() - batch_start_nanos_);
-  }
 }
 
 storage::row_id_t executor::resolve(const txn::fragment& f) const noexcept {

@@ -20,7 +20,9 @@
 // While it admits entry i of a queue, the executor prefetches further down
 // the same queue, in two stages:
 //  * kDescAhead (16) entries ahead: the entry's fragment, and its
-//    txn_desc for writing (the executor updates its counters);
+//    txn_desc for writing (the executor reads its status and procedure,
+//    and an abortable fragment writes its pending_abortables and status;
+//    a read-only prefetch measured within noise);
 //  * kBucketAhead (8) ahead, reading that now-cached fragment and
 //    txn_desc: the output value slot the fragment will produce, for
 //    writing, and the hash-index bucket of (table, key, part)
@@ -42,6 +44,13 @@
 // Coordination is limited to the lock-free txn_context (data / commit
 // dependencies, abort flags); there is no per-record locking or validation
 // anywhere on this path.
+//
+// Completion stamps. Nothing counts a transaction's finished fragments.
+// An executor writes, for each entry it runs or skips, its clock into its
+// own stamp array at the transaction's seq (batch_slot::stamps); the
+// clock is read once every kClockEvery queue entries and at each retry of
+// the parked entries, never per transaction. The epilogue takes a
+// transaction's latest stamp over all executors as its completion time.
 //
 // Logs (core/exec_log.hpp). An executor writes only what something will
 // read, decided once per batch in begin_batch from the planners' count of
@@ -83,15 +92,16 @@ class executor final : public txn::frag_host {
 
   worker_id_t id() const noexcept { return id_; }
   exec_logs& logs() noexcept { return logs_; }
-  common::latency_histogram& latency() noexcept { return latency_; }
 
   /// Called by the engine at the start of each batch's execution phase.
   /// `runtime_abortables` counts the batch's transactions that can still
   /// abort at run time (plan_output::runtime_abortables, summed over the
   /// planners); it decides which logs this batch writes (see top).
-  EXEC_PHASE void begin_batch(std::uint64_t batch_start_nanos,
-                              std::uint32_t runtime_abortables) noexcept {
-    batch_start_nanos_ = batch_start_nanos;
+  /// `stamps` is this executor's completion-stamp array for the batch, one
+  /// element per transaction (see top); the executor only ever writes it.
+  EXEC_PHASE void begin_batch(std::uint32_t runtime_abortables,
+                              std::span<std::uint64_t> stamps) noexcept {
+    stamps_ = stamps;
     logs_.clear();
     log_speculation_ = logs_for_recovery(cfg_, runtime_abortables);
     log_writes_ = log_speculation_ ||
@@ -150,6 +160,9 @@ class executor final : public txn::frag_host {
   /// Queue entries taken between two retries of the parked entries.
   static constexpr std::uint32_t kRetryEvery = 16;
 
+  /// Queue entries between two clock reads for the completion stamps.
+  static constexpr std::uint32_t kClockEvery = 16;
+
   /// Lookahead distances, in queue entries (see top).
   static constexpr std::size_t kDescAhead = 16;
   static constexpr std::size_t kBucketAhead = 8;
@@ -173,7 +186,10 @@ class executor final : public txn::frag_host {
   /// Add this run's applied/skipped/parked counts to the metrics.
   EXEC_PHASE void flush_counts();
   EXEC_PHASE void skip(const frag_entry& e);
-  EXEC_PHASE void finish(txn::txn_desc& t);
+  /// Stamp `t` as finished by this executor at the last clock reading.
+  EXEC_PHASE void finish(const txn::txn_desc& t) noexcept {
+    stamps_[t.seq] = clock_;
+  }
 
   EXEC_PHASE static std::size_t bucket(std::uint32_t key) noexcept {
     return key & (kKeyBuckets - 1);
@@ -190,8 +206,10 @@ class executor final : public txn::frag_host {
   storage::database& db_;
   storage::dual_version_store* committed_;  ///< null unless read-committed
   exec_logs logs_;
-  common::latency_histogram latency_;
-  std::uint64_t batch_start_nanos_ = 0;
+  /// This batch's completion stamps, indexed by seq (see top).
+  std::span<std::uint64_t> stamps_;
+  /// Clock at the last read (every kClockEvery entries, each retry).
+  std::uint64_t clock_ = 0;
   bool reading_committed_ = false;  ///< true while draining read queues
   /// This batch logs reads and before-images (speculative recovery reads
   /// them).

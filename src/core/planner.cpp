@@ -115,8 +115,6 @@ bool planner::run_plan_checks(txn::txn_desc& t, txn::frag_host& h) const {
   if (resolved != 0) {
     // relaxed: pre-execution mutation, published by the stage hand-off.
     t.pending_abortables.fetch_sub(resolved, std::memory_order_relaxed);
-    // relaxed: as above.
-    t.remaining_frags.fetch_sub(resolved, std::memory_order_relaxed);
   }
   return true;
 }
@@ -173,15 +171,13 @@ void planner::plan(txn::batch& b, plan_output& out) {
       if (decided_at_plan(f)) continue;  // resolved by run_plan_checks
       // Cross-partition scans fan out into one conflict-queue entry per
       // partition (the fragment's partition is the kAllParts sentinel; the
-      // entry carries the effective one). The txn's fragment count and the
-      // producing slot grow accordingly — safe to mutate here even under
-      // pipelining, because execution is serialized across batches: no
-      // executor touches this batch until every planner finished it.
+      // entry carries the effective one). The producing slot is armed with
+      // the split count — safe to mutate here even under pipelining,
+      // because execution is serialized across batches: no executor
+      // touches this batch until every planner finished it.
       if (f.kind == txn::op_kind::scan && f.part == txn::kAllParts) {
         const auto parts = static_cast<part_id_t>(cfg_.partitions);
         if (f.output_slot != txn::kNoSlot) t.arm_slot(f.output_slot, parts);
-        // relaxed: pre-execution mutation, published by the stage hand-off.
-        t.remaining_frags.fetch_add(parts - 1, std::memory_order_relaxed);
         for (part_id_t p = 0; p < parts; ++p) {
           std::uint32_t key;
           const auto e = route(f, p, key);

@@ -92,8 +92,7 @@ class planner {
 
   /// Run t's plan-decidable abort checks through its logic against `h`.
   /// Returns false when one aborts (t is marked aborted at plan time);
-  /// otherwise drops the resolved checks from t's pending_abortables and
-  /// remaining_frags.
+  /// otherwise drops the resolved checks from t's pending_abortables.
   QUECC_PLAN_READ(
       "reads only replicated tables, which no transaction writes, so the "
       "reads cannot race with the execution planning overlaps")

@@ -70,6 +70,7 @@ void pipeline::build(const common::config& cfg, storage::database& db,
     // queue position) is batch sequence order — the paradigm's
     // serial-equivalent order.
     slot->exec_queues.resize(execs);
+    slot->stamps.resize(execs);
     for (worker_id_t e = 0; e < execs; ++e) {
       for (worker_id_t p = 0; p < planner_n; ++p) {
         slot->exec_queues[e].push_back(&slot->plan_outs[p].conflict[e]);
@@ -101,6 +102,18 @@ std::uint32_t batch_slot::runtime_abortables() const noexcept {
   std::uint32_t n = 0;
   for (const plan_output& po : plan_outs) n += po.runtime_abortables;
   return n;
+}
+
+void batch_slot::merge_latency(common::latency_histogram& h) {
+  const std::size_t n = batch->size();
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t last = 0;
+    for (std::vector<std::uint64_t>& st : stamps) {
+      last = std::max(last, st[i]);
+      st[i] = 0;
+    }
+    if (last != 0) h.record_nanos(last - submit_nanos);
+  }
 }
 
 stage_driver::stage_driver(storage::database& db, const common::config& cfg,
@@ -208,8 +221,31 @@ void stage_driver::executor_main(worker_id_t e) {
       // publishing, speculation recovery, and checkpoints rely on. Only
       // the previous batch's durable tail (fsync wait) and post-publish
       // hook may still be in flight on the epilogue worker.
-      while (!((ready_ > n && published_ == n) || stop_)) cv_.wait(lk);
+      //
+      // The wait is booked by the condition still false: batch n-1 not
+      // yet published (published_ != n), else batch n not yet planned
+      // (ready_ <= n, which includes not yet submitted). Once published_
+      // reaches n it stays there until this executor runs batch n, so a
+      // wait reads the clock when it starts, at most once when it turns
+      // from the publish to the plan, and when it ends.
+      static const obs::counter plan_wait("engine.exec_wait_plan_nanos");
+      static const obs::counter publish_wait(
+          "engine.exec_wait_publish_nanos");
+      const obs::counter* waiting_on = nullptr;
+      std::uint64_t w0 = 0;
+      while (!((ready_ > n && published_ == n) || stop_)) {
+        const obs::counter* why =
+            published_ != n ? &publish_wait : &plan_wait;
+        if (why != waiting_on) {
+          const std::uint64_t now = common::now_nanos();
+          if (waiting_on != nullptr) waiting_on->inc(now - w0);
+          waiting_on = why;
+          w0 = now;
+        }
+        cv_.wait(lk);
+      }
       if (stop_ && !(ready_ > n && published_ == n)) return;
+      if (waiting_on != nullptr) waiting_on->inc(common::now_nanos() - w0);
       sp = pipe_.slots[n % cfg_.pipeline_depth].get();
       if (sp->exec_start_nanos == 0) {
         sp->exec_start_nanos = common::now_nanos();
@@ -223,7 +259,7 @@ void stage_driver::executor_main(worker_id_t e) {
     }
     batch_slot& s = *sp;
     const std::uint64_t t0 = common::now_nanos();
-    ex.begin_batch(s.submit_nanos, s.runtime_abortables());
+    ex.begin_batch(s.runtime_abortables(), s.stamps[e]);
     ex.run_conflict_queues(s.exec_queues[e]);
     if (!s.read_queues.empty()) {
       ex.run_read_queues(s.read_queues, s.read_cursor);
@@ -273,6 +309,9 @@ void stage_driver::submit_batch(txn::batch& b, common::run_metrics& m) {
     s.exec_busy_nanos.store(0, std::memory_order_relaxed);
     s.plan_pending.store(cfg_.planner_threads, std::memory_order_relaxed);
     s.exec_pending.store(cfg_.executor_threads, std::memory_order_relaxed);
+    // Stamps are all 0 here (merge_latency clears them), so growing only
+    // zero-fills the new tail.
+    for (std::vector<std::uint64_t>& st : s.stamps) st.resize(b.size());
     ++submitted_;  // publishes the slot fields to the plan stage
     cv_.notify_all();
   }
@@ -338,6 +377,7 @@ void stage_driver::run_epilogue(std::uint64_t n) {
   // execution (async mode; the inline epilogue keeps the contract where
   // sync_durable() or the flusher timer absorbs the fsync).
   if (hooks_ != nullptr) hooks_->post_publish(b, m);
+  s.merge_latency(m.txn_latency);
   if (wal_ && use_async_epilogue_) {
     const std::uint64_t f0 = common::now_nanos();
     wal_->wait_durable(commit_lsn);
@@ -522,11 +562,6 @@ recovery_stats stage_driver::batch_epilogue(
     if (logged) {
       for (const auto& [table, rid] : spec_.extra_dirty()) publish(table, rid);
     }
-  }
-
-  for (auto& ex : pipe_.executors) {
-    m.txn_latency.merge(ex->latency());
-    ex->latency().reset();
   }
   return rec;
 }

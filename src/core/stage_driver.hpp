@@ -25,9 +25,10 @@
 //     the per-slot quiescent point — executors of batch i+1 stay parked on
 //     published_ until it finishes, which is what keeps results
 //     bit-identical at every depth;
-//   * the durable tail (group-commit fsync wait) and the batch accounting
-//     run after published_ advances, overlapped with batch i+1's
-//     execution — the fsync leaves the drain-to-drain critical path.
+//   * the durable tail (group-commit fsync wait), the latency merge of
+//     the executors' completion stamps and the batch accounting run after
+//     published_ advances, overlapped with batch i+1's execution — the
+//     fsync leaves the drain-to-drain critical path.
 //
 // Execution and the epilogue stay strictly sequential by batch id;
 // drain_batch merely awaits epilogue_done_. pipeline_depth == 1 (or
@@ -117,6 +118,12 @@ struct batch_slot {
   std::atomic<std::uint64_t> exec_busy_nanos{0};
   std::atomic<std::uint32_t> plan_pending{0};  ///< planners yet to finish
   std::atomic<std::uint32_t> exec_pending{0};  ///< executors yet to finish
+  /// Completion stamps, [e] -> one per transaction of the batch, indexed
+  /// by seq: the clock reading at which executor e last finished one of
+  /// the transaction's entries, or 0. Executor e alone writes stamps[e]
+  /// during execution; submit_batch sizes them to the batch, and
+  /// merge_latency reads and clears them after the batch executed.
+  std::vector<std::vector<std::uint64_t>> stamps;
 
   /// Resolve the rids of this slot's read-committed read queues against
   /// `db`'s primary indexes. Planners never resolve rids; conflict-queue
@@ -131,6 +138,12 @@ struct batch_slot {
   /// Transactions of the batch that can still abort at run time, summed
   /// over the planners' outputs. Read only once the batch is planned.
   EXEC_PHASE std::uint32_t runtime_abortables() const noexcept;
+
+  /// Record each stamped transaction's latency in `h` — from submit_nanos
+  /// to its latest stamp over all executors — and clear the stamps for the
+  /// slot's next batch. A transaction without a stamp queued no entry (it
+  /// aborted at plan time) and gets no sample.
+  EPILOGUE_PHASE void merge_latency(common::latency_histogram& h);
 };
 
 /// Planner/executor fabric: P planners, E executors, and a ring of

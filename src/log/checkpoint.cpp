@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "log/io.hpp"
 #include "log/plan_codec.hpp"
 #include "log/wire.hpp"
 #include "obs/metrics.hpp"
@@ -63,12 +64,12 @@ void atomic_write(const std::string& dir, const std::string& name,
     p += w;
     n -= static_cast<std::size_t>(w);
   }
-  ::fsync(fd);
+  checked_fsync(fd, "checkpoint file");
   ::close(fd);
   fs::rename(tmp, final_path);
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (dfd >= 0) {
-    ::fsync(dfd);
+    checked_fsync(dfd, "checkpoint directory");
     ::close(dfd);
   }
 }

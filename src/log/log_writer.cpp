@@ -13,6 +13,7 @@
 #include "common/mutex.hpp"
 #include "common/stats.hpp"
 #include "common/thread_util.hpp"
+#include "log/io.hpp"
 #include "log/plan_codec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -117,7 +118,7 @@ log_writer::~log_writer() {
   flusher_.join();
   common::mutex_lock lk(mu_);
   if (fd_ >= 0) {
-    ::fsync(fd_);
+    checked_fsync(fd_, "log_writer close");
     ::close(fd_);
     fd_ = -1;
   }
@@ -156,7 +157,7 @@ log_writer::lsn_t log_writer::append(record_type type,
   if (segment_bytes_written_ >= opts_.segment_bytes) {
     // Size rotation: the old segment's bytes become durable here, so the
     // flusher only ever needs to fsync the current fd.
-    ::fsync(fd_);
+    checked_fsync(fd_, "log_writer size rotation");
     ++fsyncs_;
     fsyncs_total().inc();
     static const obs::counter rotations("log.segment_rotations_total");
@@ -208,7 +209,7 @@ std::uint64_t log_writer::fsyncs() const {
 
 std::uint32_t log_writer::rotate_and_truncate() {
   common::mutex_lock lk(mu_);
-  ::fsync(fd_);
+  checked_fsync(fd_, "log_writer checkpoint rotation");
   ++fsyncs_;
   fsyncs_total().inc();
   ::close(fd_);
@@ -246,7 +247,7 @@ void log_writer::flusher_main() {
       const lsn_t durable_before = durable_;
       lk.unlock();
       const std::uint64_t t0 = common::now_nanos();
-      ::fsync(fd);
+      checked_fsync(fd, "log_writer group commit");
       const std::uint64_t t1 = common::now_nanos();
       static const obs::histogram fsync_hist("log.fsync_nanos");
       fsync_hist.record_nanos(t1 - t0);

@@ -27,8 +27,6 @@ void txn_desc::reset_runtime() {
   }
   // relaxed: see above.
   pending_abortables.store(abortables, std::memory_order_relaxed);
-  remaining_frags.store(static_cast<std::uint32_t>(frags.size()),
-                        std::memory_order_relaxed);  // relaxed: see above
   for (auto& s : slots_) {
     s.value.store(0, std::memory_order_relaxed);  // relaxed: see above
     s.ready.store(0, std::memory_order_relaxed);

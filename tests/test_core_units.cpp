@@ -445,7 +445,8 @@ TEST(Executor, ParksBlockedEntryAndKeepsPerRecordOrder) {
   storage::database db;
   const common::config cfg;
   core::executor ex(0, cfg, db, nullptr);
-  ex.begin_batch(0, 0);
+  std::vector<std::uint64_t> stamps(1);  // unbatched txns all have seq 0
+  ex.begin_batch(0, stamps);
   std::thread worker([&] { ex.run_conflict_queues(queues); });
   // B can only run ahead of A if A parked. Produce A's input either way,
   // so a failure here never hangs the test.
@@ -486,7 +487,8 @@ TEST(Executor, ConservativeUpdateParksOnPendingAbortable) {
     common::config cfg;
     cfg.execution = common::exec_model::conservative;
     core::executor ex(0, cfg, db, nullptr);
-    ex.begin_batch(0, 1);
+    std::vector<std::uint64_t> stamps(1);  // unbatched txns all have seq 0
+    ex.begin_batch(1, stamps);
     std::thread worker([&] { ex.run_conflict_queues(queues); });
     if (!park_probe::wait_ran(kE)) {
       ADD_FAILURE() << "E did not run while D waited";
@@ -526,6 +528,7 @@ struct run {
   std::size_t undo = 0;
   std::size_t images = 0;  ///< undo entries that kept a before-image
   std::size_t updates = 0;
+  std::vector<std::uint64_t> stamps;  ///< the executor's, by seq
 };
 
 /// Plans `b` with one planner for one executor and drains the queues on
@@ -543,7 +546,8 @@ run execute(storage::database& db, txn::batch& b, common::exec_model m,
     committed = std::make_unique<storage::dual_version_store>(db);
   }
   core::executor ex(0, cfg, db, committed.get());
-  ex.begin_batch(0, out.runtime_abortables);
+  std::vector<std::uint64_t> stamps(b.size());
+  ex.begin_batch(out.runtime_abortables, stamps);
   const core::frag_queue* conflict[] = {&out.conflict[0]};
   ex.run_conflict_queues(conflict);
   if (!out.reads.empty()) {
@@ -552,6 +556,7 @@ run execute(storage::database& db, txn::batch& b, common::exec_model m,
     ex.run_read_queues(reads, cursor);
   }
   run got;
+  got.stamps = stamps;
   got.runtime_abortables = out.runtime_abortables;
   got.reads = ex.logs().reads.size();
   got.undo = ex.logs().undo.size();
@@ -568,6 +573,27 @@ run execute(storage::database& db, txn::batch& b, common::exec_model m,
 }
 
 }  // namespace log_probe
+
+TEST(Executor, StampsEveryTransactionItFinishes) {
+  // One executor drains one conflict queue in seq order, so each
+  // transaction carries a stamp, and its monotone clock orders them.
+  auto w = make_workload();
+  auto db = testutil::make_loaded_db(w);
+  auto b = log_probe::make_batch(w, w, 64, ~std::size_t{0});
+  const std::uint64_t before = common::now_nanos();
+  const auto got = log_probe::execute(*db, b, common::exec_model::speculative,
+                                      common::isolation::serializable);
+  const std::uint64_t after = common::now_nanos();
+  ASSERT_EQ(got.stamps.size(), b.size());
+  for (std::size_t i = 0; i < got.stamps.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_GE(got.stamps[i], before);
+    EXPECT_LE(got.stamps[i], after);
+    if (i > 0) {
+      EXPECT_GE(got.stamps[i], got.stamps[i - 1]);
+    }
+  }
+}
 
 TEST(Executor, SkipsEveryLogWhenNothingCanAbortAtRunTime) {
   auto w = make_workload();
@@ -786,7 +812,8 @@ outcome run_executor(storage::database& db, const std::vector<step>& steps,
   auto q = build(steps, shards);
   const common::config cfg;
   core::executor ex(0, cfg, db, nullptr);
-  ex.begin_batch(0, 0);
+  std::vector<std::uint64_t> stamps(1);  // unbatched txns all have seq 0
+  ex.begin_batch(0, stamps);
   const core::frag_queue* queues[] = {&q.queue};
   ex.run_conflict_queues(queues);
   outcome out;
@@ -907,7 +934,8 @@ TEST(ExecutorLookahead, ReadQueuesReadPreResolvedCommittedImages) {
   common::config cfg;
   cfg.iso = common::isolation::read_committed;
   core::executor ex(0, cfg, *db, &committed);
-  ex.begin_batch(0, 0);
+  std::vector<std::uint64_t> stamps(1);  // unbatched txns all have seq 0
+  ex.begin_batch(0, stamps);
   const core::frag_queue* queues[] = {&q.queue};
   std::atomic<std::size_t> cursor{0};
   ex.run_read_queues(queues, cursor);

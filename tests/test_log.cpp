@@ -4,6 +4,7 @@
 // record, kill before the commit record, torn tail, mid-checkpoint crash —
 // each asserting recovered state equals an uninterrupted run's.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <deque>
@@ -14,6 +15,7 @@
 #include "core/engine.hpp"
 #include "harness/runner.hpp"
 #include "log/checkpoint.hpp"
+#include "log/io.hpp"
 #include "log/log_writer.hpp"
 #include "log/plan_codec.hpp"
 #include "log/recovery.hpp"
@@ -240,6 +242,18 @@ TEST(LogWriter, GroupCommitCoalescesFsyncs) {
   EXPECT_GE(w.durable_lsn(), last);
   // All 100 appends shared one group-commit fsync.
   EXPECT_EQ(w.fsyncs(), 1u);
+}
+
+TEST(CheckedFsyncDeathTest, FailedFsyncAbortsNamingTheSite) {
+  // The re-executing style: the test binary may already run threads.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  // A pipe cannot be synced: fsync fails with EINVAL.
+  EXPECT_DEATH(log::checked_fsync(fds[1], "probe site"),
+               "fsync failed at probe site: Invalid argument");
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 TEST(LogWriter, SizeRotationSplitsSegments) {

@@ -18,6 +18,7 @@
 #include "dist/dist_quecc.hpp"
 #include "harness/runner.hpp"
 #include "log/log_writer.hpp"
+#include "obs/metrics.hpp"
 #include "protocols/iface.hpp"
 #include "protocols/session.hpp"
 #include "test_util.hpp"
@@ -92,6 +93,40 @@ TEST(ThreeStageStats, EpilogueBusyIsAccountedAndSurfaced) {
   EXPECT_GT(res.metrics.epilogue_busy_seconds, 0.0);
   EXPECT_NE(res.metrics.summary("quecc").find("epilogue_busy="),
             std::string::npos);
+}
+
+std::uint64_t counter(const std::string& name) {
+  for (const auto& [n, v] : obs::snapshot_metrics().counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+
+TEST(ThreeStageStats, ExecutorIdleBetweenBatchesIsAttributed) {
+#if defined(QUECC_OBS_COMPILED_OUT)
+  GTEST_SKIP() << "observability compiled out";
+#endif
+  // The last executor out of each batch waits for that batch's epilogue
+  // to publish before it may start the next one; that wait is booked to
+  // the publish even while the next batch is not planned either. (A plan
+  // wait is likely but not certain: a late-starting executor may find
+  // every batch planned.)
+  const std::uint64_t publish0 = counter("engine.exec_wait_publish_nanos");
+  wl::ycsb_config wcfg;
+  wcfg.table_size = 4096;
+  wl::ycsb w(wcfg);
+  auto db = testutil::make_loaded_db(w);
+  auto cfg = base_cfg(2, exec_model::speculative);
+  cfg.async_epilogue = true;
+  {
+    core::quecc_engine eng(*db, cfg);
+    harness::run_options opts;
+    opts.batches = 8;
+    opts.batch_size = 512;
+    const auto res = harness::run_workload(eng, w, *db, opts);
+    EXPECT_EQ(res.metrics.batches, 8u);
+  }
+  EXPECT_GT(counter("engine.exec_wait_publish_nanos"), publish0);
 }
 
 // --- submit/drain API mechanics -------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
+#include "protocols/iface.hpp"
 #include "test_util.hpp"
 #include "workload/tpcc.hpp"
 #include "workload/ycsb.hpp"
@@ -206,25 +207,126 @@ TEST(QueccEngine, ReadCommittedMatchesSerialStateForUpdates) {
   EXPECT_EQ(db_engine->state_hash(), db_serial->state_hash());
 }
 
-TEST(QueccEngine, LatencyRecordedPerTransaction) {
-  wl::ycsb_config wcfg;
-  wcfg.table_size = 1024;
-  auto w = wl::ycsb(wcfg);
-  auto db = testutil::make_loaded_db(w);
+/// Whether the planner queues at least one entry of `t`: it did not abort
+/// at plan time, and some fragment is not a check the planner decides
+/// itself (an input-free abortable read of a replicated table).
+bool queues_an_entry(const txn::txn_desc& t, const storage::database& db) {
+  if (t.aborted_at_plan()) return false;
+  for (const auto& f : t.frags) {
+    const bool decided = f.abortable && f.kind == txn::op_kind::read &&
+                         f.input_mask == 0 && db.at(f.table).replicated();
+    if (!decided) return true;
+  }
+  return false;
+}
 
-  common::rng r(4);
-  auto b = w.make_batch(r, 128);
-
+struct latency_case {
+  const char* name;
+  const char* engine;
   config cfg;
-  cfg.planner_threads = 1;
-  cfg.executor_threads = 1;
-  core::quecc_engine eng(*db, cfg);
-  common::run_metrics m;
-  eng.run_batch(b, m);
-  EXPECT_EQ(m.txn_latency.count(), 128u);
-  EXPECT_GT(m.txn_latency.mean_nanos(), 0.0);
-  EXPECT_EQ(m.batches, 1u);
-  EXPECT_GT(m.elapsed_seconds, 0.0);
+  bool tpcc;  ///< TPC-C with replicated ITEM and invalid items, else YCSB
+};
+
+TEST(QueccEngine, LatencyRecordedPerTransaction) {
+  // The executors stamp the transactions they finish; the epilogue turns
+  // each transaction's latest stamp into one txn_latency sample, measured
+  // from the batch's submission. So every transaction that queued an entry
+  // has exactly one sample, within its batch's submit-to-drain window.
+  std::vector<latency_case> cases;
+  const auto add = [&](const char* name, const char* engine, bool tpcc,
+                       auto&& tweak) {
+    config cfg;
+    cfg.planner_threads = 1;
+    cfg.executor_threads = 1;
+    tweak(cfg);
+    cases.push_back({name, engine, cfg, tpcc});
+  };
+  add("one executor", "quecc", false, [](config&) {});
+  add("two executors", "quecc", false, [](config& c) {
+    c.planner_threads = 2;
+    c.executor_threads = 2;
+  });
+  add("depth 2, async epilogue", "quecc", false, [](config& c) {
+    c.executor_threads = 2;
+    c.pipeline_depth = 2;
+    c.async_epilogue = true;
+  });
+  add("dist-quecc, 2 nodes", "dist-quecc", false, [](config& c) {
+    c.nodes = 2;
+    c.executor_threads = 2;
+  });
+  add("tpcc, plan-time aborts", "quecc", true, [](config& c) {
+    c.planner_threads = 2;
+    c.executor_threads = 2;
+  });
+
+  for (const latency_case& lc : cases) {
+    SCOPED_TRACE(lc.name);
+    wl::ycsb_config ycfg;
+    ycfg.table_size = 1024;
+    ycfg.multi_partition_ratio = 0.5;
+    wl::tpcc_config tcfg;
+    tcfg.warehouses = 2;
+    tcfg.partitions = 4;
+    tcfg.invalid_item_ratio = 0.2;
+    std::unique_ptr<wl::workload> w;
+    if (lc.tpcc) {
+      w = std::make_unique<wl::tpcc>(tcfg);
+    } else {
+      w = std::make_unique<wl::ycsb>(ycfg);
+    }
+    auto db = testutil::make_loaded_db(*w);
+    common::rng r(4);
+    std::vector<txn::batch> batches;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      batches.push_back(w->make_batch(r, 128, i));
+    }
+
+    auto eng = proto::make_engine(lc.engine, *db, lc.cfg);
+    const std::size_t n = batches.size();
+    std::vector<common::run_metrics> ms(n);
+    std::vector<std::uint64_t> submitted(n), drained(n);
+    // Keep up to pipeline_depth batches in flight.
+    const std::size_t depth = eng->pipeline_depth();
+    for (std::size_t i = 0; i < n; i += depth) {
+      const std::size_t end = std::min(n, i + depth);
+      for (std::size_t j = i; j < end; ++j) {
+        submitted[j] = common::now_nanos();
+        eng->submit_batch(batches[j], ms[j]);
+      }
+      for (std::size_t j = i; j < end; ++j) {
+        ASSERT_TRUE(eng->drain_batch());
+        drained[j] = common::now_nanos();
+      }
+    }
+
+    std::uint64_t plan_aborts = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      SCOPED_TRACE(j);
+      std::uint64_t queued = 0;
+      for (const auto& t : batches[j]) {
+        queued += queues_an_entry(*t, *db) ? 1 : 0;
+        plan_aborts += t->aborted_at_plan() ? 1 : 0;
+      }
+      const common::latency_histogram& h = ms[j].txn_latency;
+      EXPECT_EQ(h.count(), queued);
+      EXPECT_EQ(ms[j].batches, 1u);
+      const std::uint64_t window = drained[j] - submitted[j];
+      EXPECT_GT(h.sum_nanos(), 0u);
+      EXPECT_LE(h.sum_nanos(), h.count() * window);
+      for (std::size_t k = 0; k < common::latency_histogram::kBuckets; ++k) {
+        if (h.bucket_count(k) != 0) {
+          EXPECT_LE(common::latency_histogram::bucket_lower_nanos(k),
+                    static_cast<double>(window))
+              << "bucket " << k;
+        }
+      }
+    }
+    // The TPC-C case must exercise transactions without a sample.
+    if (lc.tpcc) {
+      EXPECT_GT(plan_aborts, 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -55,7 +55,6 @@ TEST(TxnDesc, ResetClearsRuntime) {
   t.frags.push_back(make_frag(1, op_kind::update));
   t.reset_runtime();
   EXPECT_EQ(t.pending_abortables.load(), 1u);
-  EXPECT_EQ(t.remaining_frags.load(), 2u);
 
   t.produce(0, 5);
   t.mark_aborted();
