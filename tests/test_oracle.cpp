@@ -337,12 +337,7 @@ outcome serial_rc_run(const stream& s, std::uint32_t n) {
 
 // --- the engine run -------------------------------------------------------
 
-std::uint64_t counter(const std::string& name) {
-  for (const auto& [n, v] : obs::snapshot_metrics().counters) {
-    if (n == name) return v;
-  }
-  return 0;
-}
+using testutil::counter;
 
 // Compiled-out observability reads every counter as 0.
 #if defined(QUECC_OBS_COMPILED_OUT)

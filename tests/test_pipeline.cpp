@@ -18,7 +18,6 @@
 #include "dist/dist_quecc.hpp"
 #include "harness/runner.hpp"
 #include "log/log_writer.hpp"
-#include "obs/metrics.hpp"
 #include "protocols/iface.hpp"
 #include "protocols/session.hpp"
 #include "test_util.hpp"
@@ -95,12 +94,7 @@ TEST(ThreeStageStats, EpilogueBusyIsAccountedAndSurfaced) {
             std::string::npos);
 }
 
-std::uint64_t counter(const std::string& name) {
-  for (const auto& [n, v] : obs::snapshot_metrics().counters) {
-    if (n == name) return v;
-  }
-  return 0;
-}
+using testutil::counter;
 
 TEST(ThreeStageStats, ExecutorIdleBetweenBatchesIsAttributed) {
 #if defined(QUECC_OBS_COMPILED_OUT)

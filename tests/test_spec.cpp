@@ -378,12 +378,7 @@ TEST(InplaceHost, KeptLogReusesARolledBackSlotAndUnwindsCleanly) {
 #define OBS_SKIP_IF_COMPILED_OUT() (void)0
 #endif
 
-std::uint64_t counter(const std::string& name) {
-  for (const auto& [n, v] : obs::snapshot_metrics().counters) {
-    if (n == name) return v;
-  }
-  return 0;
-}
+using testutil::counter;
 
 std::uint64_t histogram_count(const std::string& name) {
   for (const auto& [n, h] : obs::snapshot_metrics().histograms) {

@@ -10,6 +10,7 @@
 #include <system_error>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "protocols/iface.hpp"
 #include "protocols/local_host.hpp"
 #include "protocols/serial.hpp"
@@ -38,6 +39,15 @@ struct temp_dir {
   temp_dir& operator=(const temp_dir&) = delete;
   std::string path;
 };
+
+/// Current value of the obs counter `name` (0 when unregistered, and
+/// always 0 when observability is compiled out).
+inline std::uint64_t counter(const std::string& name) {
+  for (const auto& [n, v] : obs::snapshot_metrics().counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
 
 inline std::unique_ptr<storage::database> make_loaded_db(wl::workload& w) {
   auto db = std::make_unique<storage::database>();
